@@ -8,18 +8,21 @@ Exit codes: 0 success, 1 analysis refused (a precondition does not hold),
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from pathlib import Path
 
 from . import __version__, report
 from .dataset import (
+    CSV_HEADER,
     STATISTICS,
     MetricsDataset,
     load_csv,
     load_manifest,
+    per_version,
     run_pipeline,
-    slice_distribution,
+    version_slices,
 )
 from .diversity import evenness, gini_simpson, shannon, simpson
 from .errors import AnalysisError, InputError
@@ -70,25 +73,9 @@ def cmd_inequality(
 ) -> str:
     """Per-version inequality report table for one (package, metric)."""
     ds, inputs = _load_inputs(manifest_path, data_path)
-    versions: list[str] = []
-    reports = []
-    gaps: list[str] = []
-    for version in ds.version_order:
-        try:
-            values = slice_distribution(ds, version, package, metric)
-        except AnalysisError:
-            gaps.append(version)
-            continue
-        if drop_zeros:
-            values = values[values > 0]
-            if values.size == 0:
-                gaps.append(version)
-                continue
-        try:
-            reports.append(inequality_report(values, epsilon))
-        except AnalysisError as exc:
-            raise AnalysisError(f"version {version!r}: {exc}") from exc
-        versions.append(version)
+    slices, gaps = version_slices(ds, package, metric, drop_zeros)
+    reports = list(per_version(inequality_report, slices, epsilon))
+    versions = [version for version, _ in slices]
     if not reports:
         raise AnalysisError(f"empty selection: no records for package={package!r} metric={metric!r}")
     if fmt == "csv":
@@ -100,7 +87,7 @@ def cmd_inequality(
         points=None,
         inequality=report.inequality_rows(versions, reports),
         trend=None,
-        gaps=tuple(gaps),
+        gaps=gaps,
     )
     return report.to_json(report.document(inputs, [entry], []))
 
@@ -153,15 +140,14 @@ def cmd_diversity(
     """
     data_text, data_bytes = _read_file(data_path)
     ds = load_csv(data_text)
-    counts: Counter[str] = Counter()
-    for r in ds.records:
-        if r.version == version and r.package == package and r.metric == category_metric:
-            counts[report.format_number(r.value)] += 1
-    if not counts:
+    values = dict(version_slices(ds, package, category_metric)[0]).get(version)
+    if values is None:
         raise AnalysisError(
             f"empty ecosystem: no records for version={version!r} "
             f"package={package!r} metric={category_metric!r}"
         )
+    # sorted labels, so the float sums of the indices do not depend on row order
+    counts = dict(sorted(Counter(report.format_number(v) for v in values.tolist()).items()))
     indices = {
         "richness": len(counts),
         "total": sum(counts.values()),
@@ -171,20 +157,15 @@ def cmd_diversity(
         "evenness": evenness(counts),
     }
     if fmt == "csv":
-        header = ["version", "package", "category_metric", "richness", "total",
-                  "shannon", "simpson", "gini_simpson", "evenness"]
-        row = [version, package, category_metric, indices["richness"], indices["total"],
-               indices["shannon"], indices["simpson"], indices["gini_simpson"], indices["evenness"]]
-        return report.csv_table(header, [row])
+        header = ["version", "package", "category_metric", *indices]
+        return report.csv_table(header, [[version, package, category_metric, *indices.values()]])
     entry = report.result_entry(
         package=package,
         metric=category_metric,
         statistic="diversity",
         extra={
             "version": version,
-            "categories": [
-                {"category": label, "count": counts[label]} for label in sorted(counts)
-            ],
+            "categories": [{"category": label, "count": n} for label, n in counts.items()],
             "diversity": indices,
         },
     )
@@ -254,15 +235,22 @@ def cmd_extract(
 
 
 def _write_extract_output(body: str, output: str) -> None:
-    header = "version,package,entity,metric,value\n"
+    header = ",".join(CSV_HEADER) + "\n"
     if output == "-":
         sys.stdout.write(header + body)
         return
     path = Path(output)
     try:
-        if path.exists() and path.stat().st_size > 0:
-            with path.open("a", encoding="utf-8") as fh:  # append to an existing dataset
-                fh.write(body)
+        if path.exists() and path.stat().st_size > 0:  # append to an existing dataset
+            with path.open("rb+") as fh:
+                first_line = fh.readline().decode("utf-8", errors="replace")
+                if tuple(f.strip() for f in first_line.split(",")) != CSV_HEADER:
+                    raise InputError(f"cannot append to {output}: header "
+                                     f"{first_line.strip()!r} is not {header.strip()!r}")
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":  # a last row without its newline
+                    body = "\n" + body
+                fh.write(body.encode("utf-8"))
         else:
             path.write_text(header + body, encoding="utf-8")
     except OSError as exc:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from .inequality import DEFAULT_EPSILON, InequalityReport
 from .trend import DEFAULT_ALPHA, TrendResult, mk_test
 
 CSV_HEADER = ("version", "package", "entity", "metric", "value")
-
-STATISTICS = ("gini", "pietra", "theil", "atkinson", "mean", "median", "raw")
 
 
 class Record(NamedTuple):
@@ -151,46 +149,80 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
     return MetricsDataset(records=tuple(records), version_order=order)
 
 
-def slice_distribution(ds: MetricsDataset, version: str, package: str, metric: str) -> np.ndarray:
-    """Values of one metric over the entities of one (version, package) slice.
+def version_slices(
+    ds: MetricsDataset, package: str, metric: str, drop_zeros: bool = False
+) -> tuple[list[tuple[str, np.ndarray]], tuple[str, ...]]:
+    """Each version's slice of one (package, metric), from one pass over the records.
 
-    Entities are sorted by label, so identical inputs give bit-identical
-    distributions regardless of record order in the file.
+    Returns the covered ``(version, values)`` pairs in manifest order, with
+    values sorted by entity label so that record order in the file does not
+    matter, and the gap versions: no records, or with ``drop_zeros`` only zeros.
     """
-    matches = [
-        (r.entity, r.value)
-        for r in ds.records
-        if r.version == version and r.package == package and r.metric == metric
-    ]
-    if not matches:
+    found: dict[str, list[tuple[str, float]]] = {v: [] for v in ds.version_order}
+    for r in ds.records:
+        if r.package == package and r.metric == metric and r.version in found:
+            found[r.version].append((r.entity, r.value))
+    slices, gaps = [], []
+    for version, matches in found.items():
+        matches.sort(key=lambda pair: pair[0])
+        values = np.asarray([value for _, value in matches], dtype=float)
+        if drop_zeros:
+            values = values[values > 0]
+        if values.size:
+            slices.append((version, values))
+        else:
+            gaps.append(version)
+    return slices, tuple(gaps)
+
+
+def slice_distribution(ds: MetricsDataset, version: str, package: str, metric: str) -> np.ndarray:
+    """Entity-sorted values of one metric over one (version, package) slice."""
+    slices, _ = version_slices(replace(ds, version_order=(version,)), package, metric)
+    if not slices:
         raise AnalysisError(
             f"empty slice: version={version!r} package={package!r} metric={metric!r}"
         )
-    matches.sort(key=lambda pair: pair[0])
-    return np.asarray([value for _, value in matches], dtype=float)
+    return slices[0][1]
 
 
-def _evaluate(statistic: str, values: np.ndarray, epsilon: float, version: str) -> float:
-    try:
-        if statistic == "gini":
-            return inequality.gini(values)
-        if statistic == "pietra":
-            return inequality.pietra(values)
-        if statistic == "theil":
-            return inequality.theil(values)
-        if statistic == "atkinson":
-            return inequality.atkinson(values, epsilon)
-        if statistic == "mean":
-            return float(np.mean(values))
-        if statistic == "median":
-            return float(np.median(values))
-        if values.size != 1:
-            raise AnalysisError(
-                f"raw statistic expects exactly one record per version, found {values.size}"
-            )
-        return float(values[0])
-    except AnalysisError as exc:
-        raise AnalysisError(f"version {version!r}: {exc}") from exc
+def per_version(fn: Callable, slices: Sequence[tuple[str, np.ndarray]], *args) -> Iterator:
+    """Yields ``fn(values, *args)`` for each slice; an AnalysisError names its version."""
+    for version, values in slices:
+        try:
+            yield fn(values, *args)
+        except AnalysisError as exc:
+            raise AnalysisError(f"version {version!r}: {exc}") from exc
+
+
+def _raw(values: np.ndarray, epsilon: float) -> float:
+    if values.size != 1:
+        raise AnalysisError(
+            f"raw statistic expects exactly one record per version, found {values.size}"
+        )
+    return float(values[0])
+
+
+# statistic -> f(values, epsilon); indices are looked up at call time, so patches apply
+_STATISTICS: dict[str, Callable[[np.ndarray, float], float]] = {
+    "gini": lambda values, epsilon: inequality.gini(values),
+    "pietra": lambda values, epsilon: inequality.pietra(values),
+    "theil": lambda values, epsilon: inequality.theil(values),
+    "atkinson": lambda values, epsilon: inequality.atkinson(values, epsilon),
+    "mean": lambda values, epsilon: float(np.mean(values)),
+    "median": lambda values, epsilon: float(np.median(values)),
+    "raw": _raw,
+}
+STATISTICS = tuple(_STATISTICS)
+
+
+def _series(
+    slices: list[tuple[str, np.ndarray]], package: str, metric: str, statistic: str, epsilon: float
+) -> VersionSeries:
+    if statistic not in _STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    values = per_version(_STATISTICS[statistic], slices, epsilon)
+    points = tuple((version, x) for (version, _), x in zip(slices, values))
+    return VersionSeries(package=package, metric=metric, statistic=statistic, points=points)
 
 
 def build_series(
@@ -210,24 +242,8 @@ def build_series(
     first (a slice left empty by the filter becomes a gap); the default
     keeps them, relying on the indices' zero conventions.
     """
-    if statistic not in STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}")
-    points: list[tuple[str, float]] = []
-    gaps: list[str] = []
-    for version in ds.version_order:
-        try:
-            values = slice_distribution(ds, version, package, metric)
-        except AnalysisError:
-            gaps.append(version)
-            continue
-        if drop_zeros:
-            values = values[values > 0]
-            if values.size == 0:
-                gaps.append(version)
-                continue
-        points.append((version, _evaluate(statistic, values, epsilon, version)))
-    series = VersionSeries(package=package, metric=metric, statistic=statistic, points=tuple(points))
-    return series, tuple(gaps)
+    slices, gaps = version_slices(ds, package, metric, drop_zeros)
+    return _series(slices, package, metric, statistic, epsilon), gaps
 
 
 def run_pipeline(
@@ -242,9 +258,11 @@ def run_pipeline(
     """Series construction plus trend detection for one (package, metric).
 
     Refuses series shorter than 4 points after gap removal; a monotonic
-    trend on fewer points is not worth testing.
+    trend on fewer points is not worth testing. The series and the
+    per-version inequality reports come from the same slices.
     """
-    series, gaps = build_series(ds, package, metric, statistic, epsilon, drop_zeros)
+    slices, gaps = version_slices(ds, package, metric, drop_zeros)
+    series = _series(slices, package, metric, statistic, epsilon)
     if len(series.points) < 4:
         raise AnalysisError(
             f"series too short for trend: {len(series.points)} points (need at least 4)"
@@ -252,14 +270,5 @@ def run_pipeline(
     trend = mk_test(series.values(), alpha=alpha)
     reports: tuple[InequalityReport, ...] | None = None
     if statistic != "raw":
-        collected = []
-        for version, _ in series.points:
-            values = slice_distribution(ds, version, package, metric)
-            if drop_zeros:
-                values = values[values > 0]
-            try:
-                collected.append(inequality.inequality_report(values, epsilon))
-            except AnalysisError as exc:
-                raise AnalysisError(f"version {version!r}: {exc}") from exc
-        reports = tuple(collected)
+        reports = tuple(per_version(inequality.inequality_report, slices, epsilon))
     return PipelineResult(series=series, inequality_per_version=reports, trend=trend, gaps=gaps)

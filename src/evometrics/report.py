@@ -131,23 +131,6 @@ def inequality_csv(versions: list[str], reports: list[InequalityReport]) -> str:
 
 
 def trend_csv(series: VersionSeries, trend: TrendResult) -> str:
-    row = [
-        series.package,
-        series.metric,
-        series.statistic,
-        trend.s,
-        trend.var_s,
-        trend.z,
-        trend.tau,
-        trend.p_two_sided,
-        trend.p_upward,
-        trend.p_downward,
-        trend.method,
-        trend.alpha,
-        trend.decision,
-    ]
-    header = [
-        "package", "metric", "statistic", "s", "var_s", "z", "tau",
-        "p_two_sided", "p_upward", "p_downward", "method", "alpha", "decision",
-    ]
-    return csv_table(header, [row])
+    fields = {"package": series.package, "metric": series.metric, "statistic": series.statistic,
+              **trend_fields(trend)}
+    return csv_table(list(fields), [list(fields.values())])

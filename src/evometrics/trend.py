@@ -120,6 +120,16 @@ def _exact_pvalues(s: int, n: int) -> tuple[float, float, float]:
     return p_two, p_up, p_down
 
 
+def _tau_b(x: np.ndarray, s: int) -> float:
+    n = int(x.size)
+    n0 = n * (n - 1) // 2
+    ties = _tie_group_sizes(x).astype(int)
+    nt = int(np.sum(ties * (ties - 1) // 2))
+    if nt == n0:
+        raise AnalysisError("tau undefined: all values tied")
+    return s / math.sqrt(float(n0) * float(n0 - nt))
+
+
 def kendall_tau_b(series) -> float:
     """Kendall tau-b of the values against their positions.
 
@@ -127,13 +137,7 @@ def kendall_tau_b(series) -> float:
     tau = S / sqrt(n0 * (n0 - nt)) with n0 = n(n-1)/2.
     """
     x = _validate(series)
-    n = int(x.size)
-    n0 = n * (n - 1) // 2
-    ties = _tie_group_sizes(x).astype(int)
-    nt = int(np.sum(ties * (ties - 1) // 2))
-    if nt == n0:
-        raise AnalysisError("tau undefined: all values tied")
-    return mk_s(x) / math.sqrt(float(n0) * float(n0 - nt))
+    return _tau_b(x, mk_s(x))
 
 
 def sen_slope(series) -> float:
@@ -191,7 +195,7 @@ def mk_test(series, alpha: float = DEFAULT_ALPHA) -> TrendResult:
         decision = NO_TREND
 
     return TrendResult(
-        s=s, var_s=var_s, z=z, tau=kendall_tau_b(x),
+        s=s, var_s=var_s, z=z, tau=_tau_b(x, s),
         p_two_sided=p_two, p_upward=p_up, p_downward=p_down,
         method=method, alpha=alpha, decision=decision,
     )

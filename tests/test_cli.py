@@ -1,6 +1,9 @@
 """End-to-end tests for the command-line interface and its exit-code contract."""
 
+import hashlib
 import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from evometrics import gini, load_csv, load_manifest, pietra, run_pipeline
 from evometrics.cli import main
 
 HEADER = "version,package,entity,metric,value\n"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def run_cli(argv, capsys):
@@ -356,6 +360,24 @@ class TestDiversityCommand:
         assert code == 1
         assert "empty ecosystem" in err
 
+    def test_row_order_does_not_change_the_output(self, tmp_path, capsys):
+        # categories of unequal size, so the float sums depend on summation order
+        rows = [f"v1,p,e{j:02d},kind,{j % 7 + (j % 3) * 0.5}" for j in range(60)]
+        outputs = set()
+        for seed in range(8):
+            shuffled = list(rows)
+            random.Random(seed).shuffle(shuffled)
+            data = tmp_path / f"div{seed}.csv"
+            data.write_text(HEADER + "".join(f"{r}\n" for r in shuffled))
+            code, out, _ = run_cli(
+                ["diversity", "--data", str(data), "--version", "v1",
+                 "--package", "p", "--category-metric", "kind", "--format", "csv"],
+                capsys,
+            )
+            assert code == 0
+            outputs.add(out)
+        assert len(outputs) == 1
+
 
 class TestExtractCommand:
     def test_single_file_seven_records(self, tmp_path, capsys):
@@ -390,6 +412,37 @@ class TestExtractCommand:
         assert len(lines) == 15
         ds = load_csv(out_csv.read_text(), ["v1", "v2"])
         assert len(ds.records) == 14
+
+    def test_append_after_missing_trailing_newline_starts_a_new_row(self, tmp_path, capsys):
+        src = tmp_path / "f.cc"
+        src.write_text("a = b + c;\n")
+        out_csv = tmp_path / "dataset.csv"
+        out_csv.write_text(HEADER + "v1,p,x,m,1")  # last row not terminated
+        code, _, _ = run_cli(
+            ["extract", str(src), "--version", "v2", "--package", "p",
+             "--output", str(out_csv)],
+            capsys,
+        )
+        assert code == 0
+        lines = out_csv.read_text().splitlines()
+        assert lines[1] == "v1,p,x,m,1"
+        assert len(lines) == 9
+        ds = load_csv(out_csv.read_text(), ["v1", "v2"])
+        assert len(ds.records) == 8
+
+    def test_append_to_foreign_header_exits_2_naming_the_file(self, tmp_path, capsys):
+        src = tmp_path / "f.cc"
+        src.write_text("a = b;\n")
+        out_csv = tmp_path / "other.csv"
+        out_csv.write_text("foo,bar\n1,2\n")
+        code, _, err = run_cli(
+            ["extract", str(src), "--version", "v1", "--package", "p",
+             "--output", str(out_csv)],
+            capsys,
+        )
+        assert code == 2
+        assert str(out_csv) in err and "header" in err
+        assert out_csv.read_text() == "foo,bar\n1,2\n"
 
     def test_directory_traversal_sorted(self, tmp_path, capsys):
         tree = tmp_path / "srcs"
@@ -530,3 +583,23 @@ class TestDeterminism:
         _, first, _ = run_cli(argv, capsys)
         _, second, _ = run_cli(argv, capsys)
         assert first == second
+
+    def test_fixture_outputs_match_pinned_digests(self, tmp_path, capsys):
+        # digests of the outputs of the first released implementation; none holds a path
+        common = ["--manifest", str(FIXTURES / "synthetic_manifest.json"),
+                  "--data", str(FIXTURES / "synthetic_metrics.csv"), "--format", "csv"]
+        plot = tmp_path / "gini.svg"
+
+        def digest(data: bytes) -> str:
+            return hashlib.sha256(data).hexdigest()
+
+        code, out, _ = run_cli(["trend", *common, "--package", "solids", "--metric", "effort",
+                                "--statistic", "gini", "--plot", str(plot)], capsys)
+        assert code == 0
+        assert digest(out.encode()) == "ba5a7201faee2c8d29bba859a232d00c44947f371bfff9956ec4147a16600817"
+        assert digest(plot.read_bytes()) == "f86181c7a8252c93f231a5b60fdccb85a0f789b623e675eb02b17399f66dac24"
+        # tracking has no r09 release: the gap must not shift any row
+        code, out, _ = run_cli(["inequality", *common, "--package", "tracking",
+                                "--metric", "effort"], capsys)
+        assert code == 0
+        assert digest(out.encode()) == "b68fefa7e678a3d319a200a7180db8561d505ae2e822e15471287443b3b3cdf8"

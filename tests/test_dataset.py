@@ -15,6 +15,7 @@ from evometrics import (
     run_pipeline,
     slice_distribution,
 )
+from evometrics.dataset import MetricsDataset, version_slices
 
 HEADER = "version,package,entity,metric,value\n"
 
@@ -128,6 +129,21 @@ class TestSlice:
             csv_for(["v1,p,e,m,1", "v1,q,e,m,99", "v1,p,e,other,42"]), ["v1"]
         )
         assert list(slice_distribution(ds, "v1", "p", "m")) == [1.0]
+
+    def test_version_slices_pairs_and_gaps(self):
+        rows = ["v3,p,b,m,0", "v1,p,b,m,2", "v1,p,a,m,1", "v3,p,a,m,0", "v1,q,a,m,9"]
+        ds = load_csv(csv_for(rows), ["v1", "v2", "v3"])
+        slices, gaps = version_slices(ds, "p", "m")
+        assert [(v, list(x)) for v, x in slices] == [("v1", [1.0, 2.0]), ("v3", [0.0, 0.0])]
+        assert gaps == ("v2",)
+        slices, gaps = version_slices(ds, "p", "m", drop_zeros=True)
+        assert [v for v, _ in slices] == ["v1"]
+        assert gaps == ("v2", "v3")
+
+    def test_lookup_outside_the_version_order(self):
+        ds = MetricsDataset(records=load_csv(csv_for(["v9,p,e,m,4"])).records, version_order=("v1",))
+        assert list(slice_distribution(ds, "v9", "p", "m")) == [4.0]
+        assert version_slices(ds, "p", "m") == ([], ("v1",))
 
 
 class TestBuildSeries:

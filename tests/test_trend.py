@@ -238,6 +238,17 @@ class TestTau:
         assert kendall_tau_b(np.arange(25.0)) == 1.0
         assert kendall_tau_b(np.arange(25.0)[::-1]) == -1.0
 
+    def test_mk_test_reuses_its_s_for_tau(self, monkeypatch):
+        from evometrics import trend
+
+        calls = []
+        real_mk_s = trend.mk_s
+        monkeypatch.setattr(trend, "mk_s", lambda x: calls.append(len(x)) or real_mk_s(x))
+        series = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0, 5.0, 8.0]
+        result = trend.mk_test(series)
+        assert calls == [12]
+        assert result.tau == kendall_tau_b(series)
+
 
 class TestSenSlope:
     def test_hand_values(self):
