@@ -247,6 +247,14 @@ def _write_extract_output(body: str, output: str) -> None:
                 if tuple(f.strip() for f in first_line.split(",")) != CSV_HEADER:
                     raise InputError(f"cannot append to {output}: header "
                                      f"{first_line.strip()!r} is not {header.strip()!r}")
+                # a key already in the file would make load_csv reject it as a duplicate
+                new_keys = {tuple(row.split(",")[:4]) for row in body.splitlines()}
+                for raw in fh:
+                    fields = raw.decode("utf-8", errors="replace").split(",")
+                    key = tuple(f.strip() for f in fields[:4])
+                    if key in new_keys:
+                        raise InputError(f"cannot append to {output}: it already holds "
+                                         f"records for {key[:3]!r}")
                 fh.seek(-1, os.SEEK_END)
                 if fh.read(1) != b"\n":  # a last row without its newline
                     body = "\n" + body

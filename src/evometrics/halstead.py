@@ -6,6 +6,17 @@ A lexer is enough for Halstead: tokens are classified as operators
 parse is attempted, which keeps the extractor usable on partial or
 unpreprocessed sources.
 
+The lexer is one compiled master pattern, an alternation with one named
+group per token class tried in maximal-munch order (the method of Python's
+own ``tokenize`` module); a short loop dispatches on the group that matched.
+Only a ``#`` directive needs state the pattern cannot see, whether the line
+has had a token yet, so the loop skips directives with a second pattern.
+
+Identifiers follow the regex word class: a word starts with any Unicode
+alphanumeric that is not a decimal digit, or ``_``, and continues with
+alphanumerics and ``_``. So ``é`` and ``café`` are identifiers, and so are
+``²``, ``½`` and ``Ⅷ`` (none of which is valid C outside literals).
+
 Counting conventions:
   - comments contribute nothing, and neither do preprocessor directives
     (skipped whole-line, include paths would otherwise dominate operands);
@@ -17,6 +28,7 @@ Counting conventions:
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -39,7 +51,8 @@ KEYWORDS = frozenset("""
     unsigned using virtual void volatile wchar_t while xor xor_eq
 """.split())
 
-# longest spellings first so startswith() takes the maximal munch
+# longest spellings first: a regex alternation takes the first spelling that
+# matches, so this order gives the maximal munch ("<<=" before "<<" before "<")
 _PUNCTUATION = (
     "<<=", ">>=", "->*", "...",
     "::", "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=",
@@ -48,6 +61,27 @@ _PUNCTUATION = (
     "?", ":", ";", ",", ".",
     "(", ")", "[", "]", "{", "}",
 )
+
+# One alternative per token class, tried in this order at each position.
+# Comments precede punctuation so "/*" and "//" never lex as "/"; a "/*" or
+# quote that reaches its open_ group was not closed by the alternative before.
+# A pp-number starts with a decimal digit, or "." and one; DOTALL lets a
+# literal's "\\." take a backslash-newline.
+_TOKEN_RE = re.compile("|".join(f"(?P<{group}>{pattern})" for group, pattern in (
+    ("newline", r"\n"),
+    ("blank", r"[ \t\r\v\f]+"),
+    ("comment", r"//[^\n]*|/\*.*?\*/"),
+    ("open_comment", r"/\*"),
+    ("literal", r'"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\''),
+    ("open_literal", r"[\"']"),
+    ("word", r"[^\W\d]\w*"),
+    ("number", r"\.?\d(?:[eEpP][+-]|[\w.])*"),
+    ("punctuation", "|".join(map(re.escape, _PUNCTUATION))),
+    ("other", "."),
+)), re.DOTALL)
+
+# the rest of a directive line; a backslash before LF or CRLF continues it
+_DIRECTIVE_RE = re.compile(r"(?:[^\n\\]|\\\r?\n|\\)*")
 
 _BRACKET_PAIRS = (("(", ")", "()"), ("[", "]", "[]"), ("{", "}", "{}"))
 
@@ -98,105 +132,37 @@ def tokenize(source: str) -> list[Token]:
     operators rather than errors, so partial sources still tokenize.
     """
     tokens: list[Token] = []
-    i = 0
     line = 1
-    n = len(source)
     at_line_start = True
-    while i < n:
-        c = source[i]
-        if c == "\n":
+    pos = 0
+    while pos < len(source):
+        m = _TOKEN_RE.match(source, pos)
+        group, text = m.lastgroup, m.group()
+        pos = m.end()
+        if group == "newline":
             line += 1
-            i += 1
             at_line_start = True
-            continue
-        if c in " \t\r\v\f":
-            i += 1
-            continue
-        if c == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c == "/" and i + 1 < n and source[i + 1] == "*":
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise InputError(f"line {line}: unterminated block comment")
-            line += source.count("\n", i, end)
-            i = end + 2
+        elif group == "comment":
             # comments act as whitespace: they do not clear at_line_start
-            continue
-        if c == "#" and at_line_start:
-            while True:
-                while i < n and source[i] != "\n":
-                    i += 1
-                if i >= n:
-                    break
-                j = i - 1
-                if j >= 0 and source[j] == "\r":
-                    j -= 1
-                if j >= 0 and source[j] == "\\":
-                    line += 1
-                    i += 1  # backslash continuation: directive spans this newline
-                    continue
-                break
-            continue
-        if c == '"' or c == "'":
-            start_line = line
-            j = i + 1
-            terminated = False
-            while j < n:
-                ch = source[j]
-                if ch == "\\":
-                    if j + 1 < n and source[j + 1] == "\n":
-                        line += 1
-                    j += 2
-                    continue
-                if ch == "\n":
-                    break
-                if ch == c:
-                    terminated = True
-                    break
-                j += 1
-            if not terminated:
-                what = "string" if c == '"' else "character"
-                raise InputError(f"line {start_line}: unterminated {what} literal")
-            tokens.append(Token(OPERAND, source[i : j + 1], start_line))
-            i = j + 1
+            line += text.count("\n")
+        elif group == "open_comment":
+            raise InputError(f"line {line}: unterminated block comment")
+        elif group == "open_literal":
+            what = "string" if text == '"' else "character"
+            raise InputError(f"line {line}: unterminated {what} literal")
+        elif text == "#" and at_line_start:
+            directive = _DIRECTIVE_RE.match(source, pos)
+            pos = directive.end()
+            line += directive.group().count("\n")
+        elif group != "blank":
+            if group == "literal" or group == "number":
+                tokens.append(Token(OPERAND, text, line))
+                line += text.count("\n")  # backslash-newline inside a literal
+            elif group == "word":
+                tokens.append(Token(OPERATOR if text in KEYWORDS else OPERAND, text, line))
+            else:
+                tokens.append(Token(OPERATOR, text, line))
             at_line_start = False
-            continue
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            tokens.append(Token(OPERATOR if text in KEYWORDS else OPERAND, text, line))
-            i = j
-            at_line_start = False
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            # pp-number: digits, identifier chars, dots, signed exponents
-            j = i + 1
-            while j < n:
-                ch = source[j]
-                if ch in "eEpP" and j + 1 < n and source[j + 1] in "+-":
-                    j += 2
-                    continue
-                if ch.isalnum() or ch in "._":
-                    j += 1
-                    continue
-                break
-            tokens.append(Token(OPERAND, source[i:j], line))
-            i = j
-            at_line_start = False
-            continue
-        for op in _PUNCTUATION:
-            if source.startswith(op, i):
-                tokens.append(Token(OPERATOR, op, line))
-                i += len(op)
-                break
-        else:
-            tokens.append(Token(OPERATOR, c, line))
-            i += 1
-        at_line_start = False
     return tokens
 
 

@@ -56,11 +56,16 @@ def _tie_group_sizes(x: np.ndarray) -> np.ndarray:
     return counts[counts > 1]
 
 
+def _pair_differences(x: np.ndarray):
+    # one row per i: x[j] - x[i] for every j > i, so no n x n array is held
+    for i in range(x.size - 1):
+        yield x[i + 1 :] - x[i]
+
+
 def mk_s(series) -> int:
     """Mann-Kendall S: concordant minus discordant pairs, over all i < j."""
     x = _validate(series)
-    signs = np.sign(x[None, :] - x[:, None])
-    return int(np.triu(signs, k=1).sum())
+    return int(sum(np.sign(row).sum() for row in _pair_differences(x)))
 
 
 def mk_variance(series) -> float:
@@ -144,8 +149,8 @@ def sen_slope(series) -> float:
     """Median of all pairwise slopes (x_j - x_i) / (j - i), i < j."""
     x = _validate(series)
     n = int(x.size)
-    slopes = [(x[j] - x[i]) / (j - i) for i in range(n - 1) for j in range(i + 1, n)]
-    return float(np.median(slopes))
+    slopes = [row / np.arange(1, n - i) for i, row in enumerate(_pair_differences(x))]
+    return float(np.median(np.concatenate(slopes)))
 
 
 def mk_test(series, alpha: float = DEFAULT_ALPHA) -> TrendResult:

@@ -413,6 +413,30 @@ class TestExtractCommand:
         ds = load_csv(out_csv.read_text(), ["v1", "v2"])
         assert len(ds.records) == 14
 
+    def test_repeated_extract_is_refused_and_leaves_the_file_unchanged(self, tmp_path, capsys):
+        first, second = tmp_path / "f.cc", tmp_path / "g.cc"
+        first.write_text("a = b + c;\n")
+        second.write_text("x = y;\n")
+        out_csv = tmp_path / "dataset.csv"
+        for src in (first, second):  # one release split across two runs
+            code, _, _ = run_cli(
+                ["extract", str(src), "--version", "v1", "--package", "p",
+                 "--output", str(out_csv)],
+                capsys,
+            )
+            assert code == 0
+        before = out_csv.read_bytes()
+        code, _, err = run_cli(
+            ["extract", str(first), "--version", "v1", "--package", "p",
+             "--output", str(out_csv)],
+            capsys,
+        )
+        assert code == 2
+        assert str(out_csv) in err
+        assert repr(("v1", "p", first.as_posix())) in err
+        assert out_csv.read_bytes() == before
+        assert len(load_csv(before.decode(), ["v1"]).records) == 14
+
     def test_append_after_missing_trailing_newline_starts_a_new_row(self, tmp_path, capsys):
         src = tmp_path / "f.cc"
         src.write_text("a = b + c;\n")

@@ -1,5 +1,8 @@
 """Tests for the C-family tokenizer and the Halstead measures."""
 
+import hashlib
+import random
+
 import pytest
 
 from evometrics import (
@@ -22,6 +25,64 @@ SNIPPETS = [
 
 def counts_of(source):
     return halstead_counts(tokenize(source))
+
+
+OP, OPD = "operator", "operand"
+
+# (source, expected (kind, text, line) stream), one lexing convention each
+CONVENTIONS = [
+    pytest.param("a;\r\nb;\r\n", [(OPD, "a", 1), (OP, ";", 1), (OPD, "b", 2), (OP, ";", 2)],
+                 id="crlf-lines"),
+    pytest.param("#define X 1 \\\r\n  + 2\r\nx;\r\n", [(OPD, "x", 3), (OP, ";", 3)],
+                 id="directive-backslash-crlf"),
+    pytest.param(" \t# pragma once\nx;\n", [(OPD, "x", 2), (OP, ";", 2)],
+                 id="directive-after-blanks"),
+    pytest.param("/* c */ #define A\ny;\n", [(OPD, "y", 2), (OP, ";", 2)],
+                 id="directive-after-comment"),
+    pytest.param(
+        "#define A /* open\nb; */ c;\n",
+        [(OPD, "b", 2), (OP, ";", 2), (OP, "*", 2), (OP, "/", 2), (OPD, "c", 2), (OP, ";", 2)],
+        id="directive-comment-spill-is-code",
+    ),
+    pytest.param(
+        's = "ab\\\ncd";\nt;\n',
+        [(OPD, "s", 1), (OP, "=", 1), (OPD, '"ab\\\ncd"', 1), (OP, ";", 2),
+         (OPD, "t", 3), (OP, ";", 3)],
+        id="string-backslash-newline",
+    ),
+    pytest.param(
+        "a..b...c",
+        [(OPD, "a", 1), (OP, ".", 1), (OP, ".", 1), (OPD, "b", 1), (OP, "...", 1), (OPD, "c", 1)],
+        id="two-dots-vs-ellipsis",
+    ),
+    pytest.param(
+        "1e+10 0x1p-3 .5 1.e5",
+        [(OPD, "1e+10", 1), (OPD, "0x1p-3", 1), (OPD, ".5", 1), (OPD, "1.e5", 1)],
+        id="pp-numbers",
+    ),
+    pytest.param(
+        "a@b$c\xa0d",
+        [(OPD, "a", 1), (OP, "@", 1), (OPD, "b", 1), (OP, "$", 1), (OPD, "c", 1),
+         (OP, "\xa0", 1), (OPD, "d", 1)],
+        id="unknown-characters",
+    ),
+    pytest.param("é = café;", [(OPD, "é", 1), (OP, "=", 1), (OPD, "café", 1), (OP, ";", 1)],
+                 id="non-ascii-identifier"),
+]
+
+UNTERMINATED = [
+    pytest.param("x;\n/*/\n", "line 2: unterminated block comment", id="slash-star-slash"),
+    pytest.param('x;\n"abc\\', "line 2: unterminated string literal", id="string-backslash-eof"),
+    pytest.param("'\\", "line 1: unterminated character literal", id="char-backslash-eof"),
+]
+
+# the fuzz alphabet of the differential check against the earlier per-character lexer
+FUZZ_ALPHABET = (
+    list("+-*/%=<>!~&|^?:;,.()[]{}#@$`") + list("\r\n\t\v\f")
+    + ["\\", '"', "'", "/*", "*/", "//", "#define X \\\n", "é", "٠", "\xa0", " ", " ",
+       "a", "b", "_", "x", "e", "E", "p", "P", "0", "1", "9", "int", "return",
+       "1e+10", "0x1p-3", ".5", "...", "\\\r\n", "\n#", "\r\n"]
+)
 
 
 class TestTokenizer:
@@ -90,6 +151,37 @@ class TestTokenizer:
     def test_line_numbers(self):
         tokens = tokenize("a;\n\nb;\n")
         assert [(t.text, t.line) for t in tokens] == [("a", 1), (";", 1), ("b", 3), (";", 3)]
+
+    @pytest.mark.parametrize("source, expected", CONVENTIONS)
+    def test_convention(self, source, expected):
+        assert [tuple(t) for t in tokenize(source)] == expected
+
+    @pytest.mark.parametrize("source, message", UNTERMINATED)
+    def test_unterminated_names_the_start_line(self, source, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            tokenize(source)
+
+    def test_non_letter_alphanumerics_start_a_word(self):
+        # "²" was a pp-number start and "½", "Ⅷ" one-character operators
+        # under str.isdigit/isalpha; the regex word class takes all three
+        assert [tuple(t) for t in tokenize("½ Ⅷx ²e+1")] == [
+            (OPD, "½", 1), (OPD, "Ⅷx", 1), (OPD, "²e", 1), (OP, "+", 1), (OPD, "1", 1),
+        ]
+
+    def test_generated_token_streams_are_pinned(self):
+        # digest of the earlier per-character lexer's output on the same inputs
+        rng = random.Random(1977)
+        digest = hashlib.sha256()
+        for _ in range(5000):
+            source = "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randrange(40)))
+            try:
+                digest.update(repr([tuple(t) for t in tokenize(source)]).encode("utf-8"))
+            except InputError as exc:
+                digest.update(str(exc).encode("utf-8"))
+            digest.update(b"\0")
+        assert digest.hexdigest() == (
+            "202bf07fabd61fbc2c100bd5626eea00be5824ed89e03864f5901f76984715e5"
+        )
 
 
 class TestCounts:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,17 @@ class TestS:
     def test_too_short(self):
         with pytest.raises(AnalysisError, match="series too short"):
             mk_s([1.0])
+
+    def test_memory_stays_far_below_an_n_by_n_array(self):
+        # one 3000 x 3000 float64 array is 72 MB
+        x = np.random.default_rng(3).integers(0, 50, 3000).astype(float)
+        tracemalloc.start()
+        try:
+            mk_s(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 72e6 / 10
 
 
 class TestVariance:
@@ -264,6 +276,14 @@ class TestSenSlope:
             n = int(rng.integers(2, 30))
             x = intercept + slope * np.arange(n)
             assert sen_slope(x) == pytest.approx(slope, abs=1e-9)
+
+    def test_matches_pairwise_list_oracle_with_ties(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n = int(rng.integers(2, 60))
+            x = rng.integers(-5, 6, n).astype(float)
+            slopes = [(x[j] - x[i]) / (j - i) for i in range(n) for j in range(i + 1, n)]
+            assert sen_slope(x) == float(np.median(slopes))
 
     def test_too_short(self):
         with pytest.raises(AnalysisError, match="series too short"):
