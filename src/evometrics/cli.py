@@ -190,7 +190,8 @@ def _discover_sources(paths: list[str]) -> tuple[list[Path], list[str], list[str
             files.append(path)
         else:
             failures.append(f"{raw}: not found")
-    return files, warnings, failures
+    # a file named twice (directly, or also inside a named directory) is one entity
+    return list(dict.fromkeys(files)), warnings, failures
 
 
 def cmd_extract(

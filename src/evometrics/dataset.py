@@ -10,9 +10,11 @@ the series the trend test consumes.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import islice, repeat
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -106,6 +108,11 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
     version must appear in ``version_order`` when one is given; passing
     None accepts any version and orders them by first appearance, for
     single-version workflows that carry no manifest.
+
+    A refusal names the first failing line; a line breaking several rules
+    is refused for the first of: field count, empty label, unknown version,
+    unparsable value, non-finite value, duplicate record. Equal labels are
+    one shared string object.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -115,38 +122,80 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
         raise InputError(
             f"line 1: expected header {','.join(CSV_HEADER)!r}, got {lines[0].strip()!r}"
         )
-    known = set(version_order) if version_order is not None else None
-    implied: list[str] = []
-    records: list[Record] = []
-    seen: set[tuple[str, str, str, str]] = set()
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        fields = [f.strip() for f in raw.split(",")]
-        if len(fields) != 5:
-            raise InputError(
-                f"line {lineno}: expected 5 comma-separated fields, got {len(fields)}"
-            )
-        version, package, entity, metric, value_text = fields
-        if not (version and package and entity and metric):
-            raise InputError(f"line {lineno}: empty label field")
-        if known is not None and version not in known:
-            raise InputError(f"line {lineno}: unknown version {version!r} (not in manifest)")
-        try:
-            value = float(value_text)
-        except ValueError:
-            raise InputError(f"line {lineno}: cannot parse value {value_text!r}") from None
-        if not math.isfinite(value):
-            raise InputError(f"line {lineno}: non-finite value {value_text!r}")
-        key = (version, package, entity, metric)
-        if key in seen:
-            raise InputError(f"line {lineno}: duplicate record for {key!r}")
-        seen.add(key)
-        if known is None and version not in implied:
-            implied.append(version)
-        records.append(Record(version, package, entity, metric, value))
-    order = tuple(version_order) if version_order is not None else tuple(implied)
-    return MetricsDataset(records=tuple(records), version_order=order)
+    rows = list(filter(None, map(str.strip, lines[1:])))  # blank lines skipped
+    del lines
+    # (row, rule rank, message) of each rule's first failing row; the smallest pair is
+    # the error a line-by-line check would raise first
+    failures: list[tuple[int, int, str]] = []
+    commas = list(map(str.count, rows, repeat(",")))
+    n = len(rows)
+    if commas.count(4) != n:
+        n = next(i for i, count in enumerate(commas) if count != 4)
+        failures.append((n, 0, f"expected 5 comma-separated fields, got {commas[n] + 1}"))
+        del rows[n:]  # the rules below see only the rows before it
+    joined = ",".join(rows)
+    del rows
+    fields = joined.split(",") if n else []
+    del joined
+    shared: dict[str, str] = {}  # one string object per distinct label
+    labels = []
+    for i in range(4):
+        column = list(map(str.strip, fields[i::5]))
+        labels.append(list(map(shared.setdefault, column, column)))
+    value_texts = list(map(str.strip, fields[4::5]))
+    del fields, shared
+    versions = labels[0]
+    for column in labels:
+        if "" in column:
+            failures.append((column.index(""), 1, "empty label field"))
+    known = frozenset(version_order) if version_order is not None else None
+    if known is not None and not known.issuperset(versions):
+        i = next(i for i, v in enumerate(versions) if v not in known)
+        failures.append((i, 2, f"unknown version {versions[i]!r} (not in manifest)"))
+    try:
+        values = list(map(float, value_texts))
+    except ValueError:
+        i = list(map(_parses_as_float, value_texts)).index(False)
+        failures.append((i, 3, f"cannot parse value {value_texts[i]!r}"))
+        values = list(map(float, value_texts[:i]))
+    finite = list(map(math.isfinite, values))
+    if not all(finite):
+        i = finite.index(False)
+        failures.append((i, 4, f"non-finite value {value_texts[i]!r}"))
+    del finite, value_texts
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # every object built below is acyclic; collecting would only rescan them
+    try:
+        if len(set(zip(*labels))) != n:
+            seen: set[tuple[str, ...]] = set()
+            for i, key in enumerate(zip(*labels)):
+                if key in seen:
+                    failures.append((i, 5, f"duplicate record for {key!r}"))
+                    break
+                seen.add(key)
+        if failures:
+            row, _, message = min(failures)
+            raise InputError(f"line {_line_number(text, row)}: {message}")
+        records = tuple(map(tuple.__new__, repeat(Record), zip(*labels, values)))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    order = tuple(version_order) if version_order is not None else tuple(dict.fromkeys(versions))
+    return MetricsDataset(records=records, version_order=order)
+
+
+def _parses_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _line_number(text: str, row: int) -> int:
+    """1-based line number of the ``row``-th nonblank line after the header."""
+    nonblank = (n for n, line in enumerate(text.splitlines()[1:], start=2) if line.strip())
+    return next(islice(nonblank, row, None))
 
 
 def version_slices(

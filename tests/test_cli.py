@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -483,6 +484,21 @@ class TestExtractCommand:
         entities = [line.split(",")[2] for line in out.strip().splitlines()[1:]]
         assert entities == sorted(entities)
         assert not any(e.endswith("notes.txt") for e in entities)
+
+    def test_file_named_twice_is_extracted_once(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        tree = Path("t")
+        tree.mkdir()
+        (tree / "a.c").write_text("a = b + c;\n")
+        (tree / "b.c").write_text("x = y;\n")
+        code, out, _ = run_cli(
+            ["extract", "t", "t/a.c", "./t/a.c", "t/b.c", "--version", "v1", "--package", "p",
+             "--output", "data.csv"],
+            capsys,
+        )
+        assert code == 0
+        ds = load_csv(Path("data.csv").read_text(), ["v1"])
+        assert Counter(r.entity for r in ds.records) == {"t/a.c": 7, "t/b.c": 7}
 
     def test_empty_directory_warns_and_exits_0(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -1,5 +1,10 @@
 """Tests for manifest/CSV ingestion, slicing, series building, and the pipeline."""
 
+import gc
+import math
+import random
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -15,7 +20,7 @@ from evometrics import (
     run_pipeline,
     slice_distribution,
 )
-from evometrics.dataset import MetricsDataset, version_slices
+from evometrics.dataset import CSV_HEADER, MetricsDataset, Record, version_slices
 
 HEADER = "version,package,entity,metric,value\n"
 
@@ -112,6 +117,147 @@ class TestLoadCsv:
     def test_order_from_first_appearance_without_manifest(self):
         ds = load_csv(csv_for(["v2,p,e,m,1", "v1,p,e,m,2", "v2,p,f,m,3"]))
         assert ds.version_order == ("v2", "v1")
+
+    def test_equal_labels_share_one_object(self):
+        ds = load_csv(csv_for(["v1,pkg,ent,met,1", "v2,pkg,ent,met,2"]), ["v1", "v2"])
+        first, second = ds.records
+        assert first.package is second.package
+        assert first.entity is second.entity
+        assert first.metric is second.metric
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_left_as_found(self, enabled):
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            load_csv(csv_for(["v1,p,e,m,1", "v1,p,f,m,2"]), ["v1"])
+            assert gc.isenabled() is enabled
+            for bad in (["v1,p,e,m,1", "v1,p,e,m,2"], ["v1,p,e,m,x"], ["v1,p,e,m"]):
+                with pytest.raises(InputError):
+                    load_csv(csv_for(bad), ["v1"])
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+
+
+def reference_load_csv(text, version_order=None):
+    """The original per-line loader: the reference for records and error texts."""
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise InputError("line 1: missing header")
+    header = tuple(f.strip() for f in lines[0].split(","))
+    if header != CSV_HEADER:
+        raise InputError(
+            f"line 1: expected header {','.join(CSV_HEADER)!r}, got {lines[0].strip()!r}"
+        )
+    known = set(version_order) if version_order is not None else None
+    implied = []
+    records = []
+    seen = set()
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        fields = [f.strip() for f in raw.split(",")]
+        if len(fields) != 5:
+            raise InputError(
+                f"line {lineno}: expected 5 comma-separated fields, got {len(fields)}"
+            )
+        version, package, entity, metric, value_text = fields
+        if not (version and package and entity and metric):
+            raise InputError(f"line {lineno}: empty label field")
+        if known is not None and version not in known:
+            raise InputError(f"line {lineno}: unknown version {version!r} (not in manifest)")
+        try:
+            value = float(value_text)
+        except ValueError:
+            raise InputError(f"line {lineno}: cannot parse value {value_text!r}") from None
+        if not math.isfinite(value):
+            raise InputError(f"line {lineno}: non-finite value {value_text!r}")
+        key = (version, package, entity, metric)
+        if key in seen:
+            raise InputError(f"line {lineno}: duplicate record for {key!r}")
+        seen.add(key)
+        if known is None and version not in implied:
+            implied.append(version)
+        records.append(Record(version, package, entity, metric, value))
+    order = tuple(version_order) if version_order is not None else tuple(implied)
+    return MetricsDataset(records=tuple(records), version_order=order)
+
+
+def random_csv(rng):
+    """A small CSV mixing valid rows with every fault the loader must name."""
+    pads = ["", "", "", "", " ", "\t", "\xa0", " \x1f"]
+    empty = ["", " ", "\xa0"]
+    pools = [["v1", "v2", "9.0"], ["p", "q"], ["e1", "e2"], ["m"]]
+    values = ["1", "2.5", "-0", "1e-3", "1_0", "\u0661", "nan", "inf", "-inf", "1e400",
+              "", "abc", "0x1", "1__0"]
+    breaks = ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+    header = ",".join(CSV_HEADER)
+    if rng.random() < 0.06:
+        header = rng.choice(["", "  ", "version,package,entity,metric",
+                             " version , package,entity,metric,value "])
+    lines = [header]
+    for _ in range(rng.randrange(9)):
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", " ", "\t\xa0"]))
+            continue
+        fields = [rng.choice(empty if rng.random() < 0.03 else pool) for pool in pools]
+        fields.append(rng.choice(values[:6] if rng.random() < 0.85 else values))
+        if rng.random() < 0.04:
+            fields.pop(rng.randrange(5))
+        elif rng.random() < 0.04:
+            fields.insert(rng.randrange(6), rng.choice(pools[1]))
+        lines.append(",".join(rng.choice(pads) + f + rng.choice(pads) for f in fields))
+    manifest = rng.choice([None, None, ["v1", "v2"], ["v2", "v1", "9.0"], ["v2"]])
+    text = "".join(line + rng.choice(breaks) for line in lines)
+    return (text if rng.random() < 0.8 else text.rstrip("\n")), manifest
+
+
+# every refusal of load_csv, by the start of its message after "line N: "
+RULES = ("missing header", "expected header", "expected 5 comma-separated fields",
+         "empty label field", "unknown version", "cannot parse value", "non-finite value",
+         "duplicate record")
+
+
+class TestLoadCsvContract:
+    def test_matches_the_reference_loader(self):
+        rng = random.Random(2017)
+        outcomes = Counter()
+        for _ in range(5000):
+            text, manifest = random_csv(rng)
+            try:
+                expected = reference_load_csv(text, manifest)
+            except InputError as exc:
+                with pytest.raises(InputError) as got:
+                    load_csv(text, manifest)
+                assert str(got.value) == str(exc), text
+                rule = str(exc).split(": ", 1)[1]
+                outcomes[next(k for k in RULES if rule.startswith(k))] += 1
+                continue
+            ds = load_csv(text, manifest)
+            assert ds == expected, text
+            assert all(type(r) is Record for r in ds.records)
+            outcomes["loaded"] += 1
+        for kind in ("loaded", *RULES):
+            assert outcomes[kind] >= 20, outcomes
+
+    @pytest.mark.parametrize("rows, message", [
+        (["v9,,e,m,x,1"], "line 2: expected 5 comma-separated fields, got 6"),
+        (["v9,,e,m,x"], "line 2: empty label field"),
+        (["v9,p,e,m,x"], "line 2: unknown version 'v9' (not in manifest)"),
+        (["v1,p,e,m,nan", "v1,p,e,m,x"], "line 2: non-finite value 'nan'"),
+        (["v1,p,e,m,1", "v1,p,e,m,nan"], "line 3: non-finite value 'nan'"),
+        (["v1,p,e,m,1", "", "v1,p,e,m,1"], "line 4: duplicate record for ('v1', 'p', 'e', 'm')"),
+        (["v1,p,e,m,1", "v9,p,e,m,x,1"], "line 3: expected 5 comma-separated fields, got 6"),
+        (["v1,p,e,m,1", "v1,p,e,m,1", "v1,p"], "line 3: duplicate record for ('v1', 'p', 'e', 'm')"),
+    ])
+    def test_first_failing_line_and_rule_win(self, rows, message):
+        with pytest.raises(InputError) as got:
+            load_csv(csv_for(rows), ["v1"])
+        assert str(got.value) == message
+        with pytest.raises(InputError) as reference:
+            reference_load_csv(csv_for(rows), ["v1"])
+        assert str(reference.value) == message
 
 
 class TestSlice:
