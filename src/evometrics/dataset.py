@@ -122,7 +122,11 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
         raise InputError(
             f"line 1: expected header {','.join(CSV_HEADER)!r}, got {lines[0].strip()!r}"
         )
-    rows = list(filter(None, map(str.strip, lines[1:])))  # blank lines skipped
+    # str.strip changes no line or field of ASCII text without tab, \x1f and space: the
+    # other ASCII whitespace characters all break lines
+    padded = not text.isascii() or any(map(text.__contains__, "\t\x1f "))
+    del lines[0]
+    rows = list(filter(None, map(str.strip, lines) if padded else lines))  # blank lines skipped
     del lines
     # (row, rule rank, message) of each rule's first failing row; the smallest pair is
     # the error a line-by-line check would raise first
@@ -137,17 +141,19 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
     del rows
     fields = joined.split(",") if n else []
     del joined
+    columns = [fields[i::5] for i in range(5)]
+    del fields
+    if padded:
+        columns = [list(map(str.strip, column)) for column in columns]
     shared: dict[str, str] = {}  # one string object per distinct label
-    labels = []
-    for i in range(4):
-        column = list(map(str.strip, fields[i::5]))
-        labels.append(list(map(shared.setdefault, column, column)))
-    value_texts = list(map(str.strip, fields[4::5]))
-    del fields, shared
+    labels = [list(map(shared.setdefault, column, column)) for column in columns[:4]]
+    value_texts = columns[4]
+    del columns
     versions = labels[0]
-    for column in labels:
-        if "" in column:
-            failures.append((column.index(""), 1, "empty label field"))
+    if "" in shared:
+        first_empty = min(column.index("") for column in labels if "" in column)
+        failures.append((first_empty, 1, "empty label field"))
+    del shared
     known = frozenset(version_order) if version_order is not None else None
     if known is not None and not known.issuperset(versions):
         i = next(i for i, v in enumerate(versions) if v not in known)
@@ -158,11 +164,10 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
         i = list(map(_parses_as_float, value_texts)).index(False)
         failures.append((i, 3, f"cannot parse value {value_texts[i]!r}"))
         values = list(map(float, value_texts[:i]))
-    finite = list(map(math.isfinite, values))
-    if not all(finite):
-        i = finite.index(False)
+    if not all(map(math.isfinite, values)):
+        i = list(map(math.isfinite, values)).index(False)
         failures.append((i, 4, f"non-finite value {value_texts[i]!r}"))
-    del finite, value_texts
+    del value_texts
     gc_was_enabled = gc.isenabled()
     gc.disable()  # every object built below is acyclic; collecting would only rescan them
     try:

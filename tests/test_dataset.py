@@ -118,6 +118,11 @@ class TestLoadCsv:
         ds = load_csv(csv_for(["v2,p,e,m,1", "v1,p,e,m,2", "v2,p,f,m,3"]))
         assert ds.version_order == ("v2", "v1")
 
+    @pytest.mark.parametrize("pad", ["\t", "\x1f", " ", "\xa0"])
+    def test_padded_fields_are_stripped(self, pad):
+        ds = load_csv(csv_for([f"v1{pad},{pad}p,e,m,{pad}1{pad}"]), ["v1"])
+        assert ds.records == (("v1", "p", "e", "m", 1.0),)
+
     def test_equal_labels_share_one_object(self):
         ds = load_csv(csv_for(["v1,pkg,ent,met,1", "v2,pkg,ent,met,2"]), ["v1", "v2"])
         first, second = ds.records
@@ -184,22 +189,27 @@ def reference_load_csv(text, version_order=None):
     return MetricsDataset(records=tuple(records), version_order=order)
 
 
-def random_csv(rng):
-    """A small CSV mixing valid rows with every fault the loader must name."""
-    pads = ["", "", "", "", " ", "\t", "\xa0", " \x1f"]
-    empty = ["", " ", "\xa0"]
+def random_csv(rng, padded):
+    """A small CSV mixing valid rows with every fault the loader must name.
+
+    Unless ``padded``, the text is ASCII with no whitespace but line breaks.
+    """
+    ascii_breaks = ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+    if padded:
+        pads, empty, blank = ["", "", "", "", " ", "\t", "\xa0", " \x1f"], ["", " ", "\xa0"], [" ", "\t\xa0"]
+        breaks, headers = ascii_breaks + ["\x85", "\u2028"], ["  ", " version , package,entity,metric,value "]
+    else:
+        pads, empty, blank, breaks, headers = [""], [""], [""], ascii_breaks, [""]
     pools = [["v1", "v2", "9.0"], ["p", "q"], ["e1", "e2"], ["m"]]
-    values = ["1", "2.5", "-0", "1e-3", "1_0", "\u0661", "nan", "inf", "-inf", "1e400",
-              "", "abc", "0x1", "1__0"]
-    breaks = ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+    values = ["1", "2.5", "-0", "1e-3", "1_0", "\u0661" if padded else "+5", "nan", "inf", "-inf",
+              "1e400", "", "abc", "0x1", "1__0"]
     header = ",".join(CSV_HEADER)
     if rng.random() < 0.06:
-        header = rng.choice(["", "  ", "version,package,entity,metric",
-                             " version , package,entity,metric,value "])
+        header = rng.choice(headers + ["", "version,package,entity,metric"])
     lines = [header]
     for _ in range(rng.randrange(9)):
         if rng.random() < 0.1:
-            lines.append(rng.choice(["", " ", "\t\xa0"]))
+            lines.append(rng.choice(blank + [""]))
             continue
         fields = [rng.choice(empty if rng.random() < 0.03 else pool) for pool in pools]
         fields.append(rng.choice(values[:6] if rng.random() < 0.85 else values))
@@ -220,11 +230,12 @@ RULES = ("missing header", "expected header", "expected 5 comma-separated fields
 
 
 class TestLoadCsvContract:
-    def test_matches_the_reference_loader(self):
+    @pytest.mark.parametrize("padded", [True, False])
+    def test_matches_the_reference_loader(self, padded):
         rng = random.Random(2017)
         outcomes = Counter()
-        for _ in range(5000):
-            text, manifest = random_csv(rng)
+        for _ in range(4000):
+            text, manifest = random_csv(rng, padded)
             try:
                 expected = reference_load_csv(text, manifest)
             except InputError as exc:
