@@ -194,22 +194,24 @@ def random_csv(rng, padded):
 
     Unless ``padded``, the text is ASCII with no whitespace but line breaks.
     """
-    ascii_breaks = ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+    breaks = ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+    pads, empty, blank, headers = [""], [""], [""], [""]
     if padded:
-        pads, empty, blank = ["", "", "", "", " ", "\t", "\xa0", " \x1f"], ["", " ", "\xa0"], [" ", "\t\xa0"]
-        breaks, headers = ascii_breaks + ["\x85", "\u2028"], ["  ", " version , package,entity,metric,value "]
-    else:
-        pads, empty, blank, breaks, headers = [""], [""], [""], ascii_breaks, [""]
+        pads = ["", "", "", "", " ", "\t", "\xa0", " \x1f"]
+        empty = ["", " ", "\xa0"]
+        blank = ["", " ", "\t\xa0"]
+        breaks = breaks + ["\x85", "\u2028"]
+        headers = ["  ", " version , package,entity,metric,value "]
     pools = [["v1", "v2", "9.0"], ["p", "q"], ["e1", "e2"], ["m"]]
     values = ["1", "2.5", "-0", "1e-3", "1_0", "\u0661" if padded else "+5", "nan", "inf", "-inf",
               "1e400", "", "abc", "0x1", "1__0"]
     header = ",".join(CSV_HEADER)
     if rng.random() < 0.06:
-        header = rng.choice(headers + ["", "version,package,entity,metric"])
+        header = rng.choice(headers + ["version,package,entity,metric"])
     lines = [header]
     for _ in range(rng.randrange(9)):
         if rng.random() < 0.1:
-            lines.append(rng.choice(blank + [""]))
+            lines.append(rng.choice(blank))
             continue
         fields = [rng.choice(empty if rng.random() < 0.03 else pool) for pool in pools]
         fields.append(rng.choice(values[:6] if rng.random() < 0.85 else values))
