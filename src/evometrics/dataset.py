@@ -122,11 +122,8 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
         raise InputError(
             f"line 1: expected header {','.join(CSV_HEADER)!r}, got {lines[0].strip()!r}"
         )
-    # str.strip changes no line or field of ASCII text without tab, \x1f and space: the
-    # other ASCII whitespace characters all break lines
-    padded = not text.isascii() or any(map(text.__contains__, "\t\x1f "))
     del lines[0]
-    rows = list(filter(None, map(str.strip, lines) if padded else lines))  # blank lines skipped
+    rows = list(filter(None, map(str.strip, lines)))  # blank lines skipped
     del lines
     # (row, rule rank, message) of each rule's first failing row; the smallest pair is
     # the error a line-by-line check would raise first
@@ -141,10 +138,8 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
     del rows
     fields = joined.split(",") if n else []
     del joined
-    columns = [fields[i::5] for i in range(5)]
+    columns = [list(map(str.strip, fields[i::5])) for i in range(5)]
     del fields
-    if padded:
-        columns = [list(map(str.strip, column)) for column in columns]
     shared: dict[str, str] = {}  # one string object per distinct label
     labels = [list(map(shared.setdefault, column, column)) for column in columns[:4]]
     value_texts = columns[4]
