@@ -190,8 +190,12 @@ def _discover_sources(paths: list[str]) -> tuple[list[Path], list[str], list[str
             files.append(path)
         else:
             failures.append(f"{raw}: not found")
-    # a file named twice (directly, or also inside a named directory) is one entity
-    return list(dict.fromkeys(files)), warnings, failures
+    # a file reached twice (named again, inside a named directory, through "..",
+    # or through a symlink) is one entity, under the first spelling it came by
+    unique: dict[Path, Path] = {}
+    for path in files:
+        unique.setdefault(path.resolve(), path)
+    return list(unique.values()), warnings, failures
 
 
 def cmd_extract(
@@ -217,7 +221,7 @@ def cmd_extract(
             failures.append(f"{entity}: path contains a comma")
             continue
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")  # a BOM is not source
         except (OSError, UnicodeDecodeError) as exc:
             failures.append(f"{entity}: {exc}")
             continue

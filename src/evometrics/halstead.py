@@ -6,11 +6,21 @@ A lexer is enough for Halstead: tokens are classified as operators
 parse is attempted, which keeps the extractor usable on partial or
 unpreprocessed sources.
 
-The lexer is one compiled master pattern, an alternation with one named
-group per token class tried in maximal-munch order (the method of Python's
-own ``tokenize`` module); a short loop dispatches on the group that matched.
-Only a ``#`` directive needs state the pattern cannot see, whether the line
-has had a token yet, so the loop skips directives with a second pattern.
+The lexer is one compiled master pattern, and each of its matches is a gap
+followed by one token, one whole directive, or the end of the text. The gap
+is blanks, closed comments and bare newlines; the token is an alternation
+with one named group per token class, tried in maximal-munch order (the
+method of Python's own ``tokenize`` module). A ``#`` starts a directive only
+when its gap holds a bare newline, which a regex conditional checks, so a
+directive is one match and the pattern needs no line-start state; the text
+scanned is ``"\n" + source``, so line 1 starts after a newline too. A block
+comment that spans lines is not a bare newline and does not start a line.
+
+``tokenize`` is one ``finditer`` loop over the matches. ``extract_file``
+does not build tokens: it counts the distinct match tuples of one
+``findall`` with a ``Counter`` at C level, classifies each distinct tuple
+once, and calls ``tokenize`` only to raise the error of an unterminated
+comment or literal with its line number.
 
 Identifiers follow the regex word class: a word starts with any Unicode
 alphanumeric that is not a decimal digit, or ``_``, and continues with
@@ -62,26 +72,29 @@ _PUNCTUATION = (
     "(", ")", "[", "]", "{", "}",
 )
 
-# One alternative per token class, tried in this order at each position.
-# Comments precede punctuation so "/*" and "//" never lex as "/"; a "/*" or
-# quote that reaches its open_ group was not closed by the alternative before.
-# A pp-number starts with a decimal digit, or "." and one; DOTALL lets a
-# literal's "\\." take a backslash-newline.
-_TOKEN_RE = re.compile("|".join(f"(?P<{group}>{pattern})" for group, pattern in (
-    ("newline", r"\n"),
-    ("blank", r"[ \t\r\v\f]+"),
-    ("comment", r"//[^\n]*|/\*.*?\*/"),
-    ("open_comment", r"/\*"),
-    ("literal", r'"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\''),
-    ("open_literal", r"[\"']"),
-    ("word", r"[^\W\d]\w*"),
-    ("number", r"\.?\d(?:[eEpP][+-]|[\w.])*"),
-    ("punctuation", "|".join(map(re.escape, _PUNCTUATION))),
-    ("other", "."),
-)), re.DOTALL)
-
-# the rest of a directive line; a backslash before LF or CRLF continues it
-_DIRECTIVE_RE = re.compile(r"(?:[^\n\\]|\\\r?\n|\\)*")
+# One match is a gap, then one token, one whole directive or the end of the
+# text. The gap is blanks, closed comments and bare newlines; a "#" is a
+# directive only when its gap holds a bare newline (group nl), so a comment
+# spanning lines does not start one. The text scanned is "\n" + source, which
+# puts line 1's start in the first gap. Token classes are tried in this order:
+# "/*" and a quote reach their open_ group only when not closed; a pp-number
+# starts with a decimal digit, or "." and one; DOTALL lets a literal's "\\."
+# take a backslash-newline. A backslash before LF or CRLF continues a directive.
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\v\f]+|//[^\n]*|/\*.*?\*/|(?P<nl>\n))*(?:"
+    + "|".join(f"(?P<{group}>{pattern})" for group, pattern in (
+        ("directive", r"(?(nl)\#[^\n\\]*(?:\\(?:\r?\n)?[^\n\\]*)*|(?!))"),
+        ("open_comment", r"/\*"),
+        ("literal", r'"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\''),
+        ("open_literal", r"[\"']"),
+        ("word", r"[^\W\d]\w*"),
+        ("number", r"\.?\d(?:[eEpP][+-]|[\w.])*"),
+        ("punctuation", "|".join(map(re.escape, _PUNCTUATION))),
+        ("other", "."),
+    ))
+    + r"|\Z)",
+    re.DOTALL,
+)
 
 _BRACKET_PAIRS = (("(", ")", "()"), ("[", "]", "[]"), ("{", "}", "{}"))
 
@@ -132,37 +145,23 @@ def tokenize(source: str) -> list[Token]:
     operators rather than errors, so partial sources still tokenize.
     """
     tokens: list[Token] = []
-    line = 1
-    at_line_start = True
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        group, text = m.lastgroup, m.group()
-        pos = m.end()
-        if group == "newline":
-            line += 1
-            at_line_start = True
-        elif group == "comment":
-            # comments act as whitespace: they do not clear at_line_start
-            line += text.count("\n")
-        elif group == "open_comment":
-            raise InputError(f"line {line}: unterminated block comment")
-        elif group == "open_literal":
+    line = 0  # the scanned text starts with an extra "\n"
+    for m in _TOKEN_RE.finditer("\n" + source):
+        group = m.lastgroup
+        line += m.group().count("\n")
+        if group in (None, "nl", "directive"):
+            continue  # the end of the text, or a directive, skipped whole
+        text = m.group(group)
+        start = line - text.count("\n")  # a literal's backslash-newlines
+        if group == "open_comment":
+            raise InputError(f"line {start}: unterminated block comment")
+        if group == "open_literal":
             what = "string" if text == '"' else "character"
-            raise InputError(f"line {line}: unterminated {what} literal")
-        elif text == "#" and at_line_start:
-            directive = _DIRECTIVE_RE.match(source, pos)
-            pos = directive.end()
-            line += directive.group().count("\n")
-        elif group != "blank":
-            if group == "literal" or group == "number":
-                tokens.append(Token(OPERAND, text, line))
-                line += text.count("\n")  # backslash-newline inside a literal
-            elif group == "word":
-                tokens.append(Token(OPERATOR if text in KEYWORDS else OPERAND, text, line))
-            else:
-                tokens.append(Token(OPERATOR, text, line))
-            at_line_start = False
+            raise InputError(f"line {start}: unterminated {what} literal")
+        if group == "literal" or group == "number" or (group == "word" and text not in KEYWORDS):
+            tokens.append(Token(OPERAND, text, start))
+        else:
+            tokens.append(Token(OPERATOR, text, start))
     return tokens
 
 
@@ -179,6 +178,11 @@ def halstead_counts(tokens: Iterable[Token]) -> TokenCounts:
             operands[tok.text] += 1
         else:
             operators[tok.text] += 1
+    return _token_counts(operators, operands)
+
+
+def _token_counts(operators: Counter[str], operands: Counter[str]) -> TokenCounts:
+    """TokenCounts of spelling tallies, folding each bracket pair kind into one spelling."""
     for open_b, close_b, spelling in _BRACKET_PAIRS:
         pairs = max(operators.pop(open_b, 0), operators.pop(close_b, 0))
         if pairs:
@@ -189,6 +193,24 @@ def halstead_counts(tokens: Iterable[Token]) -> TokenCounts:
         N1=sum(operators.values()),
         N2=sum(operands.values()),
     )
+
+
+def _source_counts(source: str) -> TokenCounts:
+    """halstead_counts(tokenize(source)), tallied from the distinct match tuples."""
+    operators: Counter[str] = Counter()
+    operands: Counter[str] = Counter()
+    for match, times in Counter(_TOKEN_RE.findall("\n" + source)).items():
+        # the groups in pattern order; nl and directive add no token
+        _, _, open_comment, literal, open_literal, word, number, punctuation, other = match
+        if open_comment or open_literal:
+            tokenize(source)  # raises the first error, naming its line
+        if word:
+            (operators if word in KEYWORDS else operands)[word] += times
+        elif literal or number:
+            operands[literal or number] += times
+        elif punctuation or other:
+            operators[punctuation or other] += times
+    return _token_counts(operators, operands)
 
 
 def halstead_measures(counts: TokenCounts) -> HalsteadMeasures:
@@ -215,7 +237,7 @@ def extract_file(source_text: str, version: str, package: str, entity: str) -> l
     entity so callers can report which file failed.
     """
     try:
-        counts = halstead_counts(tokenize(source_text))
+        counts = _source_counts(source_text)
         measures = halstead_measures(counts)
     except (AnalysisError, InputError) as exc:
         raise type(exc)(f"{entity}: {exc}") from exc

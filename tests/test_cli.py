@@ -500,6 +500,37 @@ class TestExtractCommand:
         ds = load_csv(Path("data.csv").read_text(), ["v1"])
         assert Counter(r.entity for r in ds.records) == {"t/a.c": 7, "t/b.c": 7}
 
+    @pytest.mark.parametrize("second", ["t/../t/a.c", "u/a.c"], ids=["dotdot", "symlink"])
+    def test_file_reached_by_two_spellings_is_extracted_once(
+        self, tmp_path, capsys, monkeypatch, second
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("t").mkdir()
+        Path("t/a.c").write_text("a = b + c;\n")
+        Path("u").symlink_to("t", target_is_directory=True)
+        code, _, _ = run_cli(
+            ["extract", "t", second, "--version", "v1", "--package", "p",
+             "--output", "data.csv"],
+            capsys,
+        )
+        assert code == 0
+        ds = load_csv(Path("data.csv").read_text(), ["v1"])
+        assert Counter(r.entity for r in ds.records) == {"t/a.c": 7}
+
+    def test_byte_order_mark_is_not_source(self, tmp_path, capsys, monkeypatch):
+        # with the BOM kept, "#include" on line 1 lexed as code: "\ufeff" "#" "include" ...
+        source = "#include <stdio.h>\nint x = 1;\n"
+        bodies = []
+        for name, data in (("plain", source.encode()), ("bom", b"\xef\xbb\xbf" + source.encode())):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "f.c").write_bytes(data)
+            monkeypatch.chdir(tmp_path / name)
+            code, out, _ = run_cli(["extract", "f.c", "--version", "v1", "--package", "p"], capsys)
+            assert code == 0
+            bodies.append(out)
+        assert bodies[0] == bodies[1]
+        assert ",f.c,halstead_n2,2.0\n" in bodies[0]  # x and 1; no stdio or h
+
     def test_empty_directory_warns_and_exits_0(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()

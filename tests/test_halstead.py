@@ -9,11 +9,13 @@ from evometrics import (
     AnalysisError,
     InputError,
     TokenCounts,
+    Record,
     extract_file,
     halstead_counts,
     halstead_measures,
     tokenize,
 )
+from evometrics.halstead import HALSTEAD_METRICS
 
 SNIPPETS = [
     "a = b + c;\n",
@@ -68,6 +70,12 @@ CONVENTIONS = [
     ),
     pytest.param("é = café;", [(OPD, "é", 1), (OP, "=", 1), (OPD, "café", 1), (OP, ";", 1)],
                  id="non-ascii-identifier"),
+    pytest.param("a /* x\n y */ # b", [(OPD, "a", 1), (OP, "#", 2), (OPD, "b", 2)],
+                 id="comment-spanning-lines-does-not-start-a-line"),
+    pytest.param("a\n/* x\n */ #define B\nc;", [(OPD, "a", 1), (OPD, "c", 4), (OP, ";", 4)],
+                 id="directive-after-multiline-comment-at-line-start"),
+    pytest.param("a; // c\n  # x\nb", [(OPD, "a", 1), (OP, ";", 1), (OPD, "b", 3)],
+                 id="directive-after-line-comment-line"),
 ]
 
 UNTERMINATED = [
@@ -262,7 +270,41 @@ class TestProperties:
         assert counts_of(plain) == counts_of(spaced) == counts_of(commented)
 
 
+def reference_extract(source, version, package, entity):
+    """extract_file's records built the long way, through the Token stream."""
+    try:
+        counts = halstead_counts(tokenize(source))
+        measures = halstead_measures(counts)
+    except (AnalysisError, InputError) as exc:
+        raise type(exc)(f"{entity}: {exc}") from exc
+    values = (counts.n1, counts.n2, counts.N1, counts.N2,
+              measures.volume, measures.difficulty, measures.effort)
+    return [Record(version, package, entity, metric, float(value))
+            for metric, value in zip(HALSTEAD_METRICS, values)]
+
+
+def outcome(extract, source):
+    try:
+        return extract(source, "v1", "p", "f.c")
+    except (AnalysisError, InputError) as exc:
+        return type(exc), str(exc)
+
+
 class TestExtractFile:
+    def test_matches_the_token_stream_on_generated_sources(self):
+        rng = random.Random(20251)
+        for _ in range(5000):
+            source = "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randrange(60)))
+            assert outcome(extract_file, source) == outcome(reference_extract, source), source
+
+    def test_matches_the_token_stream_on_snippet_concatenations(self):
+        pieces = SNIPPETS + [p.values[0] for p in CONVENTIONS] + [
+            "#include <stdio.h>\n", "/* c */ ", "// d\n", "int x = 'q';\n"]
+        rng = random.Random(7)
+        for _ in range(500):
+            source = "".join(rng.choice(pieces) for _ in range(rng.randrange(1, 8)))
+            assert outcome(extract_file, source) == outcome(reference_extract, source), source
+
     def test_seven_records_with_expected_effort(self):
         records = extract_file("a = b + c;", "v1", "p", "f.cc")
         assert len(records) == 7
