@@ -72,14 +72,12 @@ _PUNCTUATION = (
     "(", ")", "[", "]", "{", "}",
 )
 
-# One match is a gap, then one token, one whole directive or the end of the
-# text. The gap is blanks, closed comments and bare newlines; a "#" is a
-# directive only when its gap holds a bare newline (group nl), so a comment
-# spanning lines does not start one. The text scanned is "\n" + source, which
-# puts line 1's start in the first gap. Token classes are tried in this order:
-# "/*" and a quote reach their open_ group only when not closed; a pp-number
-# starts with a decimal digit, or "." and one; DOTALL lets a literal's "\\."
-# take a backslash-newline. A backslash before LF or CRLF continues a directive.
+# A gap, then a directive, a token or the end (see the module docstring); scan
+# "\n" + source. The gap's bare newlines are group nl, which a directive needs.
+# Token classes are tried in this order: "/*" and a quote reach their open_
+# group only when not closed; a pp-number starts with a decimal digit, or "."
+# and one; DOTALL lets a literal's "\\." take a backslash-newline. A backslash
+# before LF or CRLF continues a directive.
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r\v\f]+|//[^\n]*|/\*.*?\*/|(?P<nl>\n))*(?:"
     + "|".join(f"(?P<{group}>{pattern})" for group, pattern in (

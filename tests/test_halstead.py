@@ -8,8 +8,8 @@ import pytest
 from evometrics import (
     AnalysisError,
     InputError,
-    TokenCounts,
     Record,
+    TokenCounts,
     extract_file,
     halstead_counts,
     halstead_measures,
