@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -146,8 +148,8 @@ def cmd_diversity(
             f"empty ecosystem: no records for version={version!r} "
             f"package={package!r} metric={category_metric!r}"
         )
-    # sorted labels, so the float sums of the indices do not depend on row order
-    counts = dict(sorted(Counter(report.format_number(v) for v in values.tolist()).items()))
+    # sorted labels fix the JSON category order; -0.0 + 0.0 is 0.0, so -0 and 0 are one category
+    counts = dict(sorted(Counter(report.format_number(v + 0.0) for v in values).items()))
     indices = {
         "richness": len(counts),
         "total": sum(counts.values()),
@@ -244,30 +246,54 @@ def _write_extract_output(body: str, output: str) -> None:
     if output == "-":
         sys.stdout.write(header + body)
         return
-    path = Path(output)
+    path = Path(os.path.realpath(output))  # through a symlink, replace its target
     try:
-        if path.exists() and path.stat().st_size > 0:  # append to an existing dataset
-            with path.open("rb+") as fh:
-                first_line = fh.readline().decode("utf-8", errors="replace")
-                if tuple(f.strip() for f in first_line.split(",")) != CSV_HEADER:
-                    raise InputError(f"cannot append to {output}: header "
-                                     f"{first_line.strip()!r} is not {header.strip()!r}")
-                # a key already in the file would make load_csv reject it as a duplicate
-                new_keys = {tuple(row.split(",")[:4]) for row in body.splitlines()}
-                for raw in fh:
-                    fields = raw.decode("utf-8", errors="replace").split(",")
-                    key = tuple(f.strip() for f in fields[:4])
-                    if key in new_keys:
-                        raise InputError(f"cannot append to {output}: it already holds "
-                                         f"records for {key[:3]!r}")
-                fh.seek(-1, os.SEEK_END)
-                if fh.read(1) != b"\n":  # a last row without its newline
-                    body = "\n" + body
-                fh.write(body.encode("utf-8"))
+        old = path.read_bytes() if path.exists() else b""
+        if old:  # append to an existing dataset
+            first_line, *rows = old.decode("utf-8", errors="replace").split("\n")
+            if tuple(f.strip() for f in first_line.split(",")) != CSV_HEADER:
+                raise InputError(f"cannot append to {output}: header "
+                                 f"{first_line.strip()!r} is not {header.strip()!r}")
+            # a key already in the file would make load_csv reject it as a duplicate
+            new_keys = {tuple(row.split(",")[:4]) for row in body.splitlines()}
+            for row in rows:
+                key = tuple(f.strip() for f in row.split(",")[:4])
+                if key in new_keys:
+                    raise InputError(f"cannot append to {output}: it already holds "
+                                     f"records for {key[:3]!r}")
+            if not old.endswith(b"\n"):  # a last row without its newline
+                body = "\n" + body
+            data = old + body.encode("utf-8")
         else:
-            path.write_text(header + body, encoding="utf-8")
+            data = (header + body).encode("utf-8")
+        _replace_file(path, data)
     except OSError as exc:
         raise InputError(f"cannot write {output}: {exc.strerror or exc}") from exc
+
+
+def _replace_file(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it over ``path``.
+
+    A failure at any point leaves ``path`` as it was. The result keeps the
+    permission bits of the file it replaces, or gets those a plain create would.
+    """
+    if path.exists():
+        mode = stat.S_IMODE(path.stat().st_mode)
+    else:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.chmod(tmp, mode)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _alpha_arg(text: str) -> float:

@@ -13,11 +13,10 @@ from __future__ import annotations
 import gc
 import json
 import math
+import statistics
 from dataclasses import dataclass, replace
 from itertools import islice, repeat
 from typing import Callable, Iterator, NamedTuple, Sequence
-
-import numpy as np
 
 from . import inequality
 from .errors import AnalysisError, InputError
@@ -200,7 +199,7 @@ def _line_number(text: str, row: int) -> int:
 
 def version_slices(
     ds: MetricsDataset, package: str, metric: str, drop_zeros: bool = False
-) -> tuple[list[tuple[str, np.ndarray]], tuple[str, ...]]:
+) -> tuple[list[tuple[str, list[float]]], tuple[str, ...]]:
     """Each version's slice of one (package, metric), from one pass over the records.
 
     Returns the covered ``(version, values)`` pairs in manifest order, with
@@ -214,17 +213,17 @@ def version_slices(
     slices, gaps = [], []
     for version, matches in found.items():
         matches.sort(key=lambda pair: pair[0])
-        values = np.asarray([value for _, value in matches], dtype=float)
+        values = [value for _, value in matches]
         if drop_zeros:
-            values = values[values > 0]
-        if values.size:
+            values = [value for value in values if value > 0]
+        if values:
             slices.append((version, values))
         else:
             gaps.append(version)
     return slices, tuple(gaps)
 
 
-def slice_distribution(ds: MetricsDataset, version: str, package: str, metric: str) -> np.ndarray:
+def slice_distribution(ds: MetricsDataset, version: str, package: str, metric: str) -> list[float]:
     """Entity-sorted values of one metric over one (version, package) slice."""
     slices, _ = version_slices(replace(ds, version_order=(version,)), package, metric)
     if not slices:
@@ -234,7 +233,7 @@ def slice_distribution(ds: MetricsDataset, version: str, package: str, metric: s
     return slices[0][1]
 
 
-def per_version(fn: Callable, slices: Sequence[tuple[str, np.ndarray]], *args) -> Iterator:
+def per_version(fn: Callable, slices: Sequence[tuple[str, list[float]]], *args) -> Iterator:
     """Yields ``fn(values, *args)`` for each slice; an AnalysisError names its version."""
     for version, values in slices:
         try:
@@ -243,29 +242,29 @@ def per_version(fn: Callable, slices: Sequence[tuple[str, np.ndarray]], *args) -
             raise AnalysisError(f"version {version!r}: {exc}") from exc
 
 
-def _raw(values: np.ndarray, epsilon: float) -> float:
-    if values.size != 1:
+def _raw(values: list[float], epsilon: float) -> float:
+    if len(values) != 1:
         raise AnalysisError(
-            f"raw statistic expects exactly one record per version, found {values.size}"
+            f"raw statistic expects exactly one record per version, found {len(values)}"
         )
-    return float(values[0])
+    return values[0]
 
 
 # statistic -> f(values, epsilon); indices are looked up at call time, so patches apply
-_STATISTICS: dict[str, Callable[[np.ndarray, float], float]] = {
+_STATISTICS: dict[str, Callable[[list[float], float], float]] = {
     "gini": lambda values, epsilon: inequality.gini(values),
     "pietra": lambda values, epsilon: inequality.pietra(values),
     "theil": lambda values, epsilon: inequality.theil(values),
     "atkinson": lambda values, epsilon: inequality.atkinson(values, epsilon),
-    "mean": lambda values, epsilon: float(np.mean(values)),
-    "median": lambda values, epsilon: float(np.median(values)),
+    "mean": lambda values, epsilon: math.fsum(values) / len(values),
+    "median": lambda values, epsilon: statistics.median(values),
     "raw": _raw,
 }
 STATISTICS = tuple(_STATISTICS)
 
 
 def _series(
-    slices: list[tuple[str, np.ndarray]], package: str, metric: str, statistic: str, epsilon: float
+    slices: list[tuple[str, list[float]]], package: str, metric: str, statistic: str, epsilon: float
 ) -> VersionSeries:
     if statistic not in _STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")

@@ -43,7 +43,7 @@ def shannon(counts) -> float:
     """
     a = _abundances(counts)
     total = sum(a)
-    h = -sum((c / total) * math.log(c / total) for c in a)
+    h = -math.fsum((c / total) * math.log(c / total) for c in a)
     return h + 0.0  # fold -0.0 from the single-category case
 
 
@@ -56,7 +56,7 @@ def simpson(counts) -> float:
     """
     a = _abundances(counts)
     total = sum(a)
-    return sum((c / total) ** 2 for c in a)
+    return math.fsum((c / total) ** 2 for c in a)
 
 
 def gini_simpson(counts) -> float:

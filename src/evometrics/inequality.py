@@ -10,13 +10,17 @@ Conventions: population denominators (n^2, not n(n-1)), so the upper bound
 of Gini and Pietra for a single holder is exactly (n-1)/n; 0*ln(0) = 0 for
 Theil; a single-element distribution has no internal inequality and scores 0
 on every index.
+
+Numerics: the values are sorted once, and every sum is ``math.fsum``, which
+rounds the exact sum of its terms once. So an index gives the same bits for
+any order of its input, on any CPU and with any thread count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
 
 from .errors import AnalysisError
 
@@ -35,17 +39,60 @@ class InequalityReport:
     n: int
 
 
-def _validate(values) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(values, dtype=float))
-    if x.size == 0:
+def _validate(values) -> tuple[list[float], float]:
+    """The values as an ascending list of floats, and their sum."""
+    x = [float(v) for v in values]
+    if not x:
         raise AnalysisError("empty input")
-    if not np.all(np.isfinite(x)):
+    if not all(map(math.isfinite, x)):
         raise AnalysisError("non-finite value")
-    if np.any(x < 0):
+    x.sort()
+    if x[0] < 0.0:
         raise AnalysisError("negative value")
-    if float(x.mean()) <= 0.0:
+    try:
+        total = math.fsum(x)
+    except OverflowError:
+        raise AnalysisError("sum beyond the float range") from None
+    if total / len(x) <= 0.0:
         raise AnalysisError("degenerate mean")
-    return x
+    return x, total
+
+
+# Kernels over a validated (ascending, sum) pair. A single value scores 0 on each
+# without a special case: its mean is the value itself, so every ratio is exactly 1.
+
+def _gini(x: list[float], total: float) -> float:
+    n = len(x)
+    # sum of (2i - n - 1) x_(i), rather than 2 sum i x_(i) - (n + 1) sum x_(i), which cancels
+    return math.fsum((2 * i - n - 1) * v for i, v in enumerate(x, 1)) / (n * total)
+
+
+def _pietra(x: list[float], total: float) -> float:
+    n = len(x)
+    mu = total / n
+    return math.fsum(abs(v - mu) for v in x) / (2.0 * n * mu)
+
+
+def _theil(x: list[float], total: float) -> float:
+    n = len(x)
+    mu = total / n
+    return math.fsum(v / mu * math.log(v / mu) for v in x if v > 0.0) / n
+
+
+def _atkinson(x: list[float], total: float, epsilon: float) -> float:
+    if not epsilon > 0.0:
+        raise AnalysisError("invalid aversion parameter")
+    n = len(x)
+    mu = total / n
+    if epsilon >= 1.0 and x[0] == 0.0:
+        return 1.0
+    if epsilon == 1.0:
+        return 1.0 - math.exp(math.fsum(math.log(v / mu) for v in x) / n)
+    try:
+        m = math.fsum((v / mu) ** (1.0 - epsilon) for v in x) / n
+    except OverflowError:  # a term past the float range: the generalized mean is 0
+        return 1.0
+    return 1.0 - m ** (1.0 / (1.0 - epsilon))
 
 
 def gini(values) -> float:
@@ -55,14 +102,7 @@ def gini(values) -> float:
     everything). Computed in the sorted O(n log n) form; the O(n^2)
     pairwise definition serves as the oracle in the test suite.
     """
-    x = _validate(values)
-    n = x.size
-    if n == 1:
-        return 0.0
-    xs = np.sort(x)
-    ranks = np.arange(1, n + 1, dtype=float)
-    total = float(xs.sum())
-    return float((2.0 * float(np.dot(ranks, xs)) - (n + 1) * total) / (n * total))
+    return _gini(*_validate(values))
 
 
 def pietra(values) -> float:
@@ -71,12 +111,7 @@ def pietra(values) -> float:
     Equals the largest vertical gap between the Lorenz curve and the
     equality diagonal.
     """
-    x = _validate(values)
-    n = x.size
-    if n == 1:
-        return 0.0
-    mu = float(x.mean())
-    return float(np.abs(x - mu).sum() / (2.0 * n * mu))
+    return _pietra(*_validate(values))
 
 
 def theil(values) -> float:
@@ -85,12 +120,7 @@ def theil(values) -> float:
     0 for equality, ln(n) when exactly one entity holds everything.
     Zero-valued entries contribute nothing (0*ln(0) = 0).
     """
-    x = _validate(values)
-    n = x.size
-    if n == 1:
-        return 0.0
-    r = x[x > 0] / float(x.mean())
-    return float(np.sum(r * np.log(r)) / n)
+    return _theil(*_validate(values))
 
 
 def atkinson(values, epsilon: float = DEFAULT_EPSILON) -> float:
@@ -100,21 +130,7 @@ def atkinson(values, epsilon: float = DEFAULT_EPSILON) -> float:
     arithmetic mean; for epsilon = 1 the generalized mean is the geometric
     mean. Ranges over [0, 1]; any zero value forces 1 when epsilon >= 1.
     """
-    x = _validate(values)
-    if not epsilon > 0.0:
-        raise AnalysisError("invalid aversion parameter")
-    n = x.size
-    if n == 1:
-        return 0.0
-    mu = float(x.mean())
-    if epsilon == 1.0:
-        if np.any(x == 0.0):
-            return 1.0
-        return 1.0 - float(np.exp(np.mean(np.log(x / mu))))
-    if epsilon > 1.0 and np.any(x == 0.0):
-        return 1.0
-    m = float(np.mean((x / mu) ** (1.0 - epsilon)))
-    return 1.0 - m ** (1.0 / (1.0 - epsilon))
+    return _atkinson(*_validate(values), epsilon)
 
 
 def lorenz_points(values) -> list[tuple[float, float]]:
@@ -124,23 +140,22 @@ def lorenz_points(values) -> list[tuple[float, float]]:
     total held by the k smallest entities). The Gini index equals one minus
     twice the trapezoidal area under this curve.
     """
-    x = _validate(values)
-    n = x.size
-    cum = np.cumsum(np.sort(x))
-    shares = cum / cum[-1]
+    x, _ = _validate(values)
+    n = len(x)
+    cum = list(accumulate(x))
     points = [(0.0, 0.0)]
-    points.extend(((k + 1) / n, float(shares[k])) for k in range(n))
+    points.extend(((k + 1) / n, c / cum[-1]) for k, c in enumerate(cum))
     return points
 
 
 def inequality_report(values, epsilon: float = DEFAULT_EPSILON) -> InequalityReport:
-    """All four indices of one distribution in a single pass."""
-    x = _validate(values)
+    """All four indices of one distribution, validated and sorted once."""
+    x, total = _validate(values)
     return InequalityReport(
-        gini=gini(x),
-        pietra=pietra(x),
-        theil=theil(x),
-        atkinson=atkinson(x, epsilon),
+        gini=_gini(x, total),
+        pietra=_pietra(x, total),
+        theil=_theil(x, total),
+        atkinson=_atkinson(x, total, epsilon),
         epsilon=epsilon,
-        n=int(x.size),
+        n=len(x),
     )

@@ -11,10 +11,11 @@ correction. The result's ``method`` flag records which path was taken.
 from __future__ import annotations
 
 import math
+import statistics
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import AnalysisError
 
@@ -42,30 +43,35 @@ class TrendResult:
     decision: str  # NO_TREND, UPWARD, or DOWNWARD
 
 
-def _validate(series) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(series, dtype=float))
-    if x.size < 2:
+def _validate(series) -> list[float]:
+    x = [float(v) for v in series]
+    if len(x) < 2:
         raise AnalysisError("series too short")
-    if not np.all(np.isfinite(x)):
+    if not all(map(math.isfinite, x)):
         raise AnalysisError("non-finite value")
     return x
 
 
-def _tie_group_sizes(x: np.ndarray) -> np.ndarray:
-    _, counts = np.unique(x, return_counts=True)
-    return counts[counts > 1]
-
-
-def _pair_differences(x: np.ndarray):
-    # one row per i: x[j] - x[i] for every j > i, so no n x n array is held
-    for i in range(x.size - 1):
-        yield x[i + 1 :] - x[i]
+def _tie_group_sizes(x: list[float]) -> list[int]:
+    return [t for t in Counter(x).values() if t > 1]
 
 
 def mk_s(series) -> int:
-    """Mann-Kendall S: concordant minus discordant pairs, over all i < j."""
+    """Mann-Kendall S: concordant minus discordant pairs, over all i < j.
+
+    One pass in O(n log n) comparisons: each value adds the number of earlier
+    values below it minus the number above it, counted by bisection in the
+    sorted list of the values before it.
+    """
     x = _validate(series)
-    return int(sum(np.sign(row).sum() for row in _pair_differences(x)))
+    earlier: list[float] = []
+    s = 0
+    for v in x:
+        below = bisect_left(earlier, v)
+        above = bisect_right(earlier, v)
+        s += below - (len(earlier) - above)
+        earlier.insert(above, v)
+    return s
 
 
 def mk_variance(series) -> float:
@@ -74,9 +80,8 @@ def mk_variance(series) -> float:
     [n(n-1)(2n+5) - sum t(t-1)(2t+5)] / 18, summing over value tie groups.
     """
     x = _validate(series)
-    n = int(x.size)
-    ties = _tie_group_sizes(x).astype(int)
-    correction = int(np.sum(ties * (ties - 1) * (2 * ties + 5)))
+    n = len(x)
+    correction = sum(t * (t - 1) * (2 * t + 5) for t in _tie_group_sizes(x))
     return (n * (n - 1) * (2 * n + 5) - correction) / 18.0
 
 
@@ -125,11 +130,10 @@ def _exact_pvalues(s: int, n: int) -> tuple[float, float, float]:
     return p_two, p_up, p_down
 
 
-def _tau_b(x: np.ndarray, s: int) -> float:
-    n = int(x.size)
+def _tau_b(x: list[float], s: int) -> float:
+    n = len(x)
     n0 = n * (n - 1) // 2
-    ties = _tie_group_sizes(x).astype(int)
-    nt = int(np.sum(ties * (ties - 1) // 2))
+    nt = sum(t * (t - 1) // 2 for t in _tie_group_sizes(x))
     if nt == n0:
         raise AnalysisError("tau undefined: all values tied")
     return s / math.sqrt(float(n0) * float(n0 - nt))
@@ -148,9 +152,10 @@ def kendall_tau_b(series) -> float:
 def sen_slope(series) -> float:
     """Median of all pairwise slopes (x_j - x_i) / (j - i), i < j."""
     x = _validate(series)
-    n = int(x.size)
-    slopes = [row / np.arange(1, n - i) for i, row in enumerate(_pair_differences(x))]
-    return float(np.median(np.concatenate(slopes)))
+    n = len(x)
+    return statistics.median(
+        [(x[j] - x[i]) / (j - i) for i in range(n - 1) for j in range(i + 1, n)]
+    )
 
 
 def mk_test(series, alpha: float = DEFAULT_ALPHA) -> TrendResult:
@@ -164,7 +169,7 @@ def mk_test(series, alpha: float = DEFAULT_ALPHA) -> TrendResult:
     x = _validate(series)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    n = int(x.size)
+    n = len(x)
     s = mk_s(x)
     var_s = mk_variance(x)
 
@@ -182,7 +187,7 @@ def mk_test(series, alpha: float = DEFAULT_ALPHA) -> TrendResult:
     else:
         z = 0.0
 
-    has_ties = int(np.unique(x).size) < n
+    has_ties = len(set(x)) < n
     if n <= EXACT_MAX_N and not has_ties:
         method = "exact"
         p_two, p_up, p_down = _exact_pvalues(s, n)

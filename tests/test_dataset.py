@@ -322,6 +322,14 @@ class TestBuildSeries:
         series, _ = build_series(ds, "p", "m", "mean")
         assert series.points == (("v1", 2.0), ("v2", 4.0))
 
+    def test_mean_statistic_ignores_row_order(self):
+        rng = np.random.default_rng(112)
+        for _ in range(50):
+            x = rng.lognormal(0.0, 2.0, int(rng.integers(2, 300))).tolist()
+            ds = dataset_with_series([x, rng.permutation(x).tolist()])
+            series, _ = build_series(ds, "p", "m", "mean")
+            assert series.points[0][1] == series.points[1][1]
+
     def test_median_statistic(self):
         ds = dataset_with_series([[1, 2, 10]])
         series, _ = build_series(ds, "p", "m", "median")

@@ -1,6 +1,7 @@
 """Unit, oracle, and property tests for the inequality indices."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -256,3 +257,53 @@ class TestReport:
             assert 0.0 <= rep.pietra < 1.0
             assert rep.theil >= 0.0
             assert 0.0 <= rep.atkinson <= 1.0
+
+
+def ulps_from(value, exact):
+    """Distance of a float from an exact rational, in units of the exact value's last place."""
+    return float(abs(Fraction(value) - exact)) / math.ulp(float(exact))
+
+
+def exact_gini_and_pietra(values):
+    x = sorted(Fraction(float(v)) for v in values)
+    n, total = len(x), sum(x)
+    mu = total / n
+    gini_ = sum((2 * i - n - 1) * v for i, v in enumerate(x, 1)) / (n * total)
+    return gini_, sum(abs(v - mu) for v in x) / (2 * n * mu)
+
+
+class TestCorrectlyRoundedSums:
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 110, 1000])
+    @pytest.mark.parametrize("kind", ["integer", "uniform", "lognormal"])
+    def test_gini_and_pietra_stay_within_a_few_ulp_of_exact(self, kind, n):
+        rng = np.random.default_rng(2024 + n)
+        for _ in range(20):
+            if kind == "integer":
+                x = rng.integers(0, 1000, n).astype(float)
+                x[0] += 1.0  # a nonzero total
+            elif kind == "uniform":
+                x = rng.uniform(0.0, 100.0, n)
+            else:
+                x = rng.lognormal(0.0, 1.5, n)
+            exact_gini, exact_pietra = exact_gini_and_pietra(x)
+            if exact_gini:
+                assert ulps_from(gini(x), exact_gini) <= 2.0
+            if exact_pietra:
+                assert ulps_from(pietra(x), exact_pietra) <= 4.0
+
+    def test_same_bits_for_any_input_order(self):
+        rng = np.random.default_rng(111)
+        for _ in range(100):
+            x = random_distribution(rng, max_n=400)
+            shuffled = rng.permutation(x)
+            for name, func in INDICES.items():
+                assert func(list(shuffled)) == func(x), name
+            assert inequality_report(shuffled, 2.0) == inequality_report(x, 2.0)
+
+    def test_a_sum_past_the_float_range_is_refused(self):
+        with pytest.raises(AnalysisError, match="sum beyond the float range"):
+            gini([1e308, 1e308])
+
+    def test_atkinson_with_terms_past_the_float_range_is_one(self):
+        # (1e-10 / mu) ** (1 - 40) overflows; the generalized mean of order -39 is 0
+        assert atkinson([1e-10, 1.0, 1.0], 40.0) == 1.0

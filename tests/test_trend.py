@@ -57,6 +57,16 @@ class TestS:
         with pytest.raises(AnalysisError, match="series too short"):
             mk_s([1.0])
 
+    def test_matches_loop_oracle_on_long_tied_series(self):
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 17, 250, 2000):
+            x = rng.integers(0, max(2, n // 20), n).astype(float)  # many ties
+            assert mk_s(x) == s_statistic(x)
+
+    def test_long_descending_series_hits_the_bound(self):
+        n = 50_000
+        assert mk_s(range(n, 0, -1)) == -n * (n - 1) // 2
+
     def test_memory_stays_far_below_an_n_by_n_array(self):
         # one 3000 x 3000 float64 array is 72 MB
         x = np.random.default_rng(3).integers(0, 50, 3000).astype(float)
