@@ -14,8 +14,9 @@ import gc
 import json
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from itertools import islice, repeat
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import inequality
@@ -36,10 +37,15 @@ class Record(NamedTuple):
 
 @dataclass(frozen=True)
 class MetricsDataset:
-    """Immutable record table plus the analysis order of its versions."""
+    """Immutable record table plus the analysis order of its versions.
+
+    A (package, metric) lookup costs one filtering pass, then one grouping pass for all later ones.
+    """
 
     records: tuple[Record, ...]
     version_order: tuple[str, ...]
+    # False, then True after one lookup, then the grouping: package -> metric -> records
+    _groups: dict | bool = field(default=False, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -200,19 +206,38 @@ def _line_number(text: str, row: int) -> int:
 def version_slices(
     ds: MetricsDataset, package: str, metric: str, drop_zeros: bool = False
 ) -> tuple[list[tuple[str, list[float]]], tuple[str, ...]]:
-    """Each version's slice of one (package, metric), from one pass over the records.
+    """Each version's slice of one (package, metric).
 
     Returns the covered ``(version, values)`` pairs in manifest order, with
     values sorted by entity label so that record order in the file does not
     matter, and the gap versions: no records, or with ``drop_zeros`` only zeros.
+    The first lookup on ``ds`` is one filtering pass over its records; the
+    second groups them all in one pass, which serves every later lookup.
     """
-    found: dict[str, list[tuple[str, float]]] = {v: [] for v in ds.version_order}
-    for r in ds.records:
-        if r.package == package and r.metric == metric and r.version in found:
+    return _slices(ds, package, metric, ds.version_order, drop_zeros)
+
+
+def _slices(
+    ds: MetricsDataset, package: str, metric: str, versions: Sequence[str], drop_zeros: bool
+) -> tuple[list[tuple[str, list[float]]], tuple[str, ...]]:
+    groups = ds._groups  # published whole by one assignment; racing threads at worst redo a pass
+    if groups is False:
+        object.__setattr__(ds, "_groups", True)
+        records = [r for r in ds.records if r.package == package and r.metric == metric]
+    else:
+        if groups is True:
+            groups = {}
+            for r in ds.records:
+                groups.setdefault(r.package, {}).setdefault(r.metric, []).append(r)
+            object.__setattr__(ds, "_groups", groups)
+        records = groups.get(package, {}).get(metric, ())
+    found: dict[str, list[tuple[str, float]]] = {v: [] for v in versions}
+    for r in records:
+        if r.version in found:
             found[r.version].append((r.entity, r.value))
     slices, gaps = [], []
     for version, matches in found.items():
-        matches.sort(key=lambda pair: pair[0])
+        matches.sort(key=itemgetter(0))
         values = [value for _, value in matches]
         if drop_zeros:
             values = [value for value in values if value > 0]
@@ -225,7 +250,7 @@ def version_slices(
 
 def slice_distribution(ds: MetricsDataset, version: str, package: str, metric: str) -> list[float]:
     """Entity-sorted values of one metric over one (version, package) slice."""
-    slices, _ = version_slices(replace(ds, version_order=(version,)), package, metric)
+    slices, _ = _slices(ds, package, metric, (version,), False)
     if not slices:
         raise AnalysisError(
             f"empty slice: version={version!r} package={package!r} metric={metric!r}"

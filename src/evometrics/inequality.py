@@ -63,12 +63,16 @@ def _validate(values) -> tuple[list[float], float]:
 
 def _gini(x: list[float], total: float) -> float:
     n = len(x)
+    if math.isinf(n * total):  # n * total bounds every term and the denominator
+        raise AnalysisError("n times the sum beyond the float range")
     # sum of (2i - n - 1) x_(i), rather than 2 sum i x_(i) - (n + 1) sum x_(i), which cancels
     return math.fsum((2 * i - n - 1) * v for i, v in enumerate(x, 1)) / (n * total)
 
 
 def _pietra(x: list[float], total: float) -> float:
     n = len(x)
+    if math.isinf(n * total):  # n * total bounds the denominator 2 n mu
+        raise AnalysisError("n times the sum beyond the float range")
     mu = total / n
     return math.fsum(abs(v - mu) for v in x) / (2.0 * n * mu)
 

@@ -3,7 +3,10 @@
 import gc
 import math
 import random
+import sys
+import threading
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -303,6 +306,131 @@ class TestSlice:
         ds = MetricsDataset(records=load_csv(csv_for(["v9,p,e,m,4"])).records, version_order=("v1",))
         assert list(slice_distribution(ds, "v9", "p", "m")) == [4.0]
         assert version_slices(ds, "p", "m") == ([], ("v1",))
+
+
+class PassCountingRecords(tuple):
+    """A record tuple that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def lookup_dataset(seed, records=tuple):
+    """Records with gaps, zeros, an absent (r, n) pair and versions outside the order."""
+    rng = random.Random(seed)
+    versions = tuple(f"v{i}" for i in range(1, 9))
+    rows = []
+    for package in ("p", "q", "r"):
+        for metric in ("m", "n"):
+            if (package, metric) == ("r", "n"):
+                continue
+            for version in (*versions, "v0", "v99"):
+                if rng.random() < 0.2:
+                    continue  # a gap
+                for j in rng.sample(range(30), rng.randint(1, 6)):
+                    value = rng.choice([0.0, float(rng.randint(1, 99)), rng.uniform(0.0, 9.0)])
+                    rows.append(Record(version, package, f"e{j:02}", metric, value))
+    rng.shuffle(rows)
+    return MetricsDataset(records=records(rows), version_order=versions)
+
+
+LOOKUP_KEYS = [
+    (package, metric, drop_zeros)
+    for package in ("p", "q", "r", "absent")
+    for metric in ("m", "n", "absent")
+    for drop_zeros in (False, True)
+]
+
+
+def reference_slices(ds, package, metric, drop_zeros):
+    """version_slices by a plain filter of every record for every version."""
+    slices, gaps = [], []
+    for version in ds.version_order:
+        pairs = sorted(
+            (r.entity, r.value)
+            for r in ds.records
+            if (r.version, r.package, r.metric) == (version, package, metric)
+        )
+        values = [value for _, value in pairs if value > 0 or not drop_zeros]
+        if values:
+            slices.append((version, values))
+        else:
+            gaps.append(version)
+    return slices, tuple(gaps)
+
+
+class TestLookup:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_lookup_matches_a_reference_filter(self, seed):
+        ds = lookup_dataset(seed)
+        rng = random.Random(seed)
+        for _ in range(3):
+            keys = list(LOOKUP_KEYS)
+            rng.shuffle(keys)
+            for key in keys:
+                assert version_slices(ds, *key) == reference_slices(ds, *key), key
+                package, metric, _ = key
+                for version in ("v3", "v99"):
+                    one_version = replace(ds, version_order=(version,))
+                    expected, _ = reference_slices(one_version, package, metric, False)
+                    if expected:
+                        assert slice_distribution(ds, version, package, metric) == expected[0][1]
+                    else:
+                        with pytest.raises(AnalysisError, match="empty slice"):
+                            slice_distribution(ds, version, package, metric)
+
+    def test_one_filtering_pass_then_one_grouping_pass(self):
+        ds = lookup_dataset(7, records=PassCountingRecords)
+        version_slices(ds, "p", "m")
+        assert ds.records.passes == 1  # a single lookup, as in one CLI run, groups nothing
+        some = ds.records[0]
+        for package, metric, drop_zeros in LOOKUP_KEYS * 3:
+            version_slices(ds, package, metric, drop_zeros)
+            slice_distribution(ds, some.version, some.package, some.metric)
+        assert ds.records.passes == 2
+
+    def test_lookups_leave_equality_hash_repr_and_replace_alone(self):
+        for lookups in range(4):
+            ds, twin = lookup_dataset(8), lookup_dataset(8)
+            for package, metric, drop_zeros in LOOKUP_KEYS[:lookups]:
+                version_slices(ds, package, metric, drop_zeros)
+            assert ds == twin
+            assert hash(ds) == hash(twin)
+            assert repr(ds) == repr(twin)
+            assert MetricsDataset(ds.records, ds.version_order) == ds
+            assert replace(ds, version_order=("v1",)) == replace(twin, version_order=("v1",))
+            assert version_slices(replace(ds), "p", "m") == version_slices(twin, "p", "m")
+
+    def test_racing_first_and_second_lookups_match_sequential_runs(self):
+        twin = lookup_dataset(9)
+        expected = {key: version_slices(twin, *key) for key in LOOKUP_KEYS}
+        workers = 6
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                ds = lookup_dataset(9)
+                start = threading.Barrier(workers)
+                results = [None] * workers
+
+                def work(k):
+                    keys = LOOKUP_KEYS[k:] + LOOKUP_KEYS[:k]
+                    start.wait(timeout=30)
+                    results[k] = {key: version_slices(ds, *key) for key in keys}
+
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                assert results == [expected] * workers
+                assert ds == twin
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestBuildSeries:

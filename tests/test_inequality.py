@@ -304,6 +304,19 @@ class TestCorrectlyRoundedSums:
         with pytest.raises(AnalysisError, match="sum beyond the float range"):
             gini([1e308, 1e308])
 
+    # the sum fits, but n times it does not; the true values are 0.75 and 1/6
+    @pytest.mark.parametrize("func", [gini, pietra])
+    @pytest.mark.parametrize("x", [[0.0, 0.0, 0.0, 1e308], [1e308, 5e307]])
+    def test_n_times_the_sum_past_the_float_range_is_refused(self, func, x):
+        with pytest.raises(AnalysisError, match="n times the sum beyond the float range"):
+            func(x)
+
+    def test_theil_and_atkinson_take_n_times_a_sum_past_the_float_range(self):
+        assert theil([0.0, 0.0, 0.0, 1e308]) == math.log(4.0)
+        assert atkinson([0.0, 0.0, 0.0, 1e308]) == 0.75
+        assert theil([1e308, 5e307]) == theil([2.0, 1.0])
+        assert atkinson([1e308, 5e307]) == atkinson([2.0, 1.0])
+
     def test_atkinson_with_terms_past_the_float_range_is_one(self):
         # (1e-10 / mu) ** (1 - 40) overflows; the generalized mean of order -39 is 0
         assert atkinson([1e-10, 1.0, 1.0], 40.0) == 1.0
