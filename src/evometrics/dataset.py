@@ -39,13 +39,14 @@ class Record(NamedTuple):
 class MetricsDataset:
     """Immutable record table plus the analysis order of its versions.
 
-    A (package, metric) lookup costs one filtering pass, then one grouping pass for all later ones.
+    The first (package, metric) lookup groups all records in one pass, and
+    every lookup reads one group.
     """
 
     records: tuple[Record, ...]
     version_order: tuple[str, ...]
-    # False, then True after one lookup, then the grouping: package -> metric -> records
-    _groups: dict | bool = field(default=False, init=False, repr=False, compare=False)
+    # package -> metric -> records in file order, built at the first lookup
+    _groups: dict | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -211,8 +212,8 @@ def version_slices(
     Returns the covered ``(version, values)`` pairs in manifest order, with
     values sorted by entity label so that record order in the file does not
     matter, and the gap versions: no records, or with ``drop_zeros`` only zeros.
-    The first lookup on ``ds`` is one filtering pass over its records; the
-    second groups them all in one pass, which serves every later lookup.
+    The first lookup on ``ds`` groups all its records by (package, metric) in
+    one pass; it and every later lookup read one group.
     """
     return _slices(ds, package, metric, ds.version_order, drop_zeros)
 
@@ -220,19 +221,17 @@ def version_slices(
 def _slices(
     ds: MetricsDataset, package: str, metric: str, versions: Sequence[str], drop_zeros: bool
 ) -> tuple[list[tuple[str, list[float]]], tuple[str, ...]]:
-    groups = ds._groups  # published whole by one assignment; racing threads at worst redo a pass
-    if groups is False:
-        object.__setattr__(ds, "_groups", True)
-        records = [r for r in ds.records if r.package == package and r.metric == metric]
-    else:
-        if groups is True:
-            groups = {}
-            for r in ds.records:
-                groups.setdefault(r.package, {}).setdefault(r.metric, []).append(r)
-            object.__setattr__(ds, "_groups", groups)
-        records = groups.get(package, {}).get(metric, ())
+    groups = ds._groups  # published whole by one assignment; racing threads at worst regroup
+    if groups is None:
+        groups = {}
+        for r in ds.records:
+            try:
+                groups[r.package][r.metric].append(r)
+            except KeyError:
+                groups.setdefault(r.package, {})[r.metric] = [r]
+        object.__setattr__(ds, "_groups", groups)
     found: dict[str, list[tuple[str, float]]] = {v: [] for v in versions}
-    for r in records:
+    for r in groups.get(package, {}).get(metric, ()):
         if r.version in found:
             found[r.version].append((r.entity, r.value))
     slices, gaps = [], []

@@ -382,15 +382,16 @@ class TestLookup:
                         with pytest.raises(AnalysisError, match="empty slice"):
                             slice_distribution(ds, version, package, metric)
 
-    def test_one_filtering_pass_then_one_grouping_pass(self):
+    def test_one_grouping_pass_serves_every_lookup(self):
         ds = lookup_dataset(7, records=PassCountingRecords)
+        assert ds.records.passes == 0  # loading groups nothing
         version_slices(ds, "p", "m")
-        assert ds.records.passes == 1  # a single lookup, as in one CLI run, groups nothing
+        assert ds.records.passes == 1
         some = ds.records[0]
         for package, metric, drop_zeros in LOOKUP_KEYS * 3:
             version_slices(ds, package, metric, drop_zeros)
             slice_distribution(ds, some.version, some.package, some.metric)
-        assert ds.records.passes == 2
+        assert ds.records.passes == 1
 
     def test_lookups_leave_equality_hash_repr_and_replace_alone(self):
         for lookups in range(4):
@@ -404,7 +405,7 @@ class TestLookup:
             assert replace(ds, version_order=("v1",)) == replace(twin, version_order=("v1",))
             assert version_slices(replace(ds), "p", "m") == version_slices(twin, "p", "m")
 
-    def test_racing_first_and_second_lookups_match_sequential_runs(self):
+    def test_racing_first_lookups_match_sequential_runs(self):
         twin = lookup_dataset(9)
         expected = {key: version_slices(twin, *key) for key in LOOKUP_KEYS}
         workers = 6
