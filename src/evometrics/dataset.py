@@ -25,6 +25,7 @@ from .inequality import DEFAULT_EPSILON, InequalityReport
 from .trend import DEFAULT_ALPHA, TrendResult, mk_test
 
 CSV_HEADER = ("version", "package", "entity", "metric", "value")
+_ENTITY, _VALUE = itemgetter(2), itemgetter(4)  # of a Record; faster than attrgetter
 
 
 class Record(NamedTuple):
@@ -39,13 +40,13 @@ class Record(NamedTuple):
 class MetricsDataset:
     """Immutable record table plus the analysis order of its versions.
 
-    The first (package, metric) lookup groups all records in one pass, and
-    every lookup reads one group.
+    The first lookup groups all records by package, metric and version in
+    one pass, and every lookup reads one list per version.
     """
 
     records: tuple[Record, ...]
     version_order: tuple[str, ...]
-    # package -> metric -> records in file order, built at the first lookup
+    # package -> metric -> version -> records in file order, built at the first lookup
     _groups: dict | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -212,8 +213,8 @@ def version_slices(
     Returns the covered ``(version, values)`` pairs in manifest order, with
     values sorted by entity label so that record order in the file does not
     matter, and the gap versions: no records, or with ``drop_zeros`` only zeros.
-    The first lookup on ``ds`` groups all its records by (package, metric) in
-    one pass; it and every later lookup read one group.
+    The first lookup on ``ds`` groups all its records by package, metric and
+    version in one pass; it and every later lookup read one list per version.
     """
     return _slices(ds, package, metric, ds.version_order, drop_zeros)
 
@@ -226,18 +227,14 @@ def _slices(
         groups = {}
         for r in ds.records:
             try:
-                groups[r.package][r.metric].append(r)
+                groups[r.package][r.metric][r.version].append(r)
             except KeyError:
-                groups.setdefault(r.package, {})[r.metric] = [r]
+                groups.setdefault(r.package, {}).setdefault(r.metric, {})[r.version] = [r]
         object.__setattr__(ds, "_groups", groups)
-    found: dict[str, list[tuple[str, float]]] = {v: [] for v in versions}
-    for r in groups.get(package, {}).get(metric, ()):
-        if r.version in found:
-            found[r.version].append((r.entity, r.value))
+    by_version = groups.get(package, {}).get(metric, {})
     slices, gaps = [], []
-    for version, matches in found.items():
-        matches.sort(key=itemgetter(0))
-        values = [value for _, value in matches]
+    for version in dict.fromkeys(versions):  # a repeated label is served once, at its first place
+        values = list(map(_VALUE, sorted(by_version.get(version, ()), key=_ENTITY)))  # stable
         if drop_zeros:
             values = [value for value in values if value > 0]
         if values:
@@ -274,27 +271,39 @@ def _raw(values: list[float], epsilon: float) -> float:
     return values[0]
 
 
-# statistic -> f(values, epsilon); indices are looked up at call time, so patches apply
+# statistic -> f(values, epsilon), for the statistics that are not inequality indices
 _STATISTICS: dict[str, Callable[[list[float], float], float]] = {
-    "gini": lambda values, epsilon: inequality.gini(values),
-    "pietra": lambda values, epsilon: inequality.pietra(values),
-    "theil": lambda values, epsilon: inequality.theil(values),
-    "atkinson": lambda values, epsilon: inequality.atkinson(values, epsilon),
     "mean": lambda values, epsilon: math.fsum(values) / len(values),
     "median": lambda values, epsilon: statistics.median(values),
     "raw": _raw,
 }
-STATISTICS = tuple(_STATISTICS)
+STATISTICS = (*inequality._KERNELS, *_STATISTICS)
+
+
+def _index_point(values: list[float], statistic: str, epsilon: float) -> tuple[float, tuple]:
+    """An index of one slice by its private kernel, and the validated pair its report reuses."""
+    x, total = inequality._validate(values)
+    return inequality._KERNELS[statistic](x, total, epsilon), (x, total)
 
 
 def _series(
     slices: list[tuple[str, list[float]]], package: str, metric: str, statistic: str, epsilon: float
-) -> VersionSeries:
-    if statistic not in _STATISTICS:
+) -> tuple[VersionSeries, list[tuple[float, tuple | None]]]:
+    """The series, and each point with its slice's validated pair (None unless an index)."""
+    if statistic in inequality._KERNELS:
+        measured = list(per_version(_index_point, slices, statistic, epsilon))
+    elif statistic in _STATISTICS:
+        measured = [(x, None) for x in per_version(_STATISTICS[statistic], slices, epsilon)]
+    else:
         raise ValueError(f"unknown statistic {statistic!r}")
-    values = per_version(_STATISTICS[statistic], slices, epsilon)
-    points = tuple((version, x) for (version, _), x in zip(slices, values))
-    return VersionSeries(package=package, metric=metric, statistic=statistic, points=points)
+    points = tuple((version, x) for (version, _), (x, _) in zip(slices, measured))
+    series = VersionSeries(package=package, metric=metric, statistic=statistic, points=points)
+    return series, measured
+
+
+def _report(measured: tuple[float, tuple], statistic: str, epsilon: float) -> InequalityReport:
+    point, (x, total) = measured
+    return inequality._report(x, total, epsilon, **{statistic: point})
 
 
 def build_series(
@@ -315,7 +324,7 @@ def build_series(
     keeps them, relying on the indices' zero conventions.
     """
     slices, gaps = version_slices(ds, package, metric, drop_zeros)
-    return _series(slices, package, metric, statistic, epsilon), gaps
+    return _series(slices, package, metric, statistic, epsilon)[0], gaps
 
 
 def run_pipeline(
@@ -334,13 +343,15 @@ def run_pipeline(
     per-version inequality reports come from the same slices.
     """
     slices, gaps = version_slices(ds, package, metric, drop_zeros)
-    series = _series(slices, package, metric, statistic, epsilon)
+    series, measured = _series(slices, package, metric, statistic, epsilon)
     if len(series.points) < 4:
         raise AnalysisError(
             f"series too short for trend: {len(series.points)} points (need at least 4)"
         )
     trend = mk_test(series.values(), alpha=alpha)
     reports: tuple[InequalityReport, ...] | None = None
-    if statistic != "raw":
+    if statistic in inequality._KERNELS:  # after the trend, whose refusals come first
+        reports = tuple(per_version(_report, zip(series.versions(), measured), statistic, epsilon))
+    elif statistic != "raw":
         reports = tuple(per_version(inequality.inequality_report, slices, epsilon))
     return PipelineResult(series=series, inequality_per_version=reports, trend=trend, gaps=gaps)

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import mul, sub, truediv
 
 from .errors import AnalysisError
 
@@ -41,7 +42,7 @@ class InequalityReport:
 
 def _validate(values) -> tuple[list[float], float]:
     """The values as an ascending list of floats, and their sum."""
-    x = [float(v) for v in values]
+    x = list(map(float, values))
     if not x:
         raise AnalysisError("empty input")
     if not all(map(math.isfinite, x)):
@@ -66,7 +67,7 @@ def _gini(x: list[float], total: float) -> float:
     if math.isinf(n * total):  # n * total bounds every term and the denominator
         raise AnalysisError("n times the sum beyond the float range")
     # sum of (2i - n - 1) x_(i), rather than 2 sum i x_(i) - (n + 1) sum x_(i), which cancels
-    return math.fsum((2 * i - n - 1) * v for i, v in enumerate(x, 1)) / (n * total)
+    return math.fsum(map(mul, range(1 - n, n, 2), x)) / (n * total)
 
 
 def _pietra(x: list[float], total: float) -> float:
@@ -74,29 +75,46 @@ def _pietra(x: list[float], total: float) -> float:
     if math.isinf(n * total):  # n * total bounds the denominator 2 n mu
         raise AnalysisError("n times the sum beyond the float range")
     mu = total / n
-    return math.fsum(abs(v - mu) for v in x) / (2.0 * n * mu)
+    return math.fsum(map(abs, map(sub, x, repeat(mu)))) / (2.0 * n * mu)
 
 
 def _theil(x: list[float], total: float) -> float:
     n = len(x)
-    mu = total / n
-    return math.fsum(v / mu * math.log(v / mu) for v in x if v > 0.0) / n
+    r = list(map(truediv, filter(None, x), repeat(total / n)))  # zeros left out: 0 ln 0 = 0
+    return math.fsum(map(mul, r, map(math.log, r))) / n
 
 
 def _atkinson(x: list[float], total: float, epsilon: float) -> float:
     if not epsilon > 0.0:
         raise AnalysisError("invalid aversion parameter")
     n = len(x)
-    mu = total / n
+    r = map(truediv, x, repeat(total / n))
     if epsilon >= 1.0 and x[0] == 0.0:
         return 1.0
     if epsilon == 1.0:
-        return 1.0 - math.exp(math.fsum(math.log(v / mu) for v in x) / n)
+        return 1.0 - math.exp(math.fsum(map(math.log, r)) / n)
     try:
-        m = math.fsum((v / mu) ** (1.0 - epsilon) for v in x) / n
+        m = math.fsum(map(pow, r, repeat(1.0 - epsilon))) / n
     except OverflowError:  # a term past the float range: the generalized mean is 0
         return 1.0
     return 1.0 - m ** (1.0 / (1.0 - epsilon))
+
+
+# index -> kernel(x, total, epsilon), in the order a report runs them and so refuses
+_KERNELS = {
+    "gini": lambda x, total, epsilon: _gini(x, total),
+    "pietra": lambda x, total, epsilon: _pietra(x, total),
+    "theil": lambda x, total, epsilon: _theil(x, total),
+    "atkinson": _atkinson,
+}
+
+
+def _report(x: list[float], total: float, epsilon: float, **known: float) -> InequalityReport:
+    """The report of a validated pair; the indices in ``known`` are not computed again."""
+    for name, kernel in _KERNELS.items():
+        if name not in known:
+            known[name] = kernel(x, total, epsilon)
+    return InequalityReport(**known, epsilon=epsilon, n=len(x))
 
 
 def gini(values) -> float:
@@ -154,12 +172,4 @@ def lorenz_points(values) -> list[tuple[float, float]]:
 
 def inequality_report(values, epsilon: float = DEFAULT_EPSILON) -> InequalityReport:
     """All four indices of one distribution, validated and sorted once."""
-    x, total = _validate(values)
-    return InequalityReport(
-        gini=_gini(x, total),
-        pietra=_pietra(x, total),
-        theil=_theil(x, total),
-        atkinson=_atkinson(x, total, epsilon),
-        epsilon=epsilon,
-        n=len(x),
-    )
+    return _report(*_validate(values), epsilon)

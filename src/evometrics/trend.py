@@ -80,8 +80,11 @@ def mk_variance(series) -> float:
     [n(n-1)(2n+5) - sum t(t-1)(2t+5)] / 18, summing over value tie groups.
     """
     x = _validate(series)
-    n = len(x)
-    correction = sum(t * (t - 1) * (2 * t + 5) for t in _tie_group_sizes(x))
+    return _variance(len(x), _tie_group_sizes(x))
+
+
+def _variance(n: int, ties: list[int]) -> float:
+    correction = sum(t * (t - 1) * (2 * t + 5) for t in ties)
     return (n * (n - 1) * (2 * n + 5) - correction) / 18.0
 
 
@@ -130,10 +133,9 @@ def _exact_pvalues(s: int, n: int) -> tuple[float, float, float]:
     return p_two, p_up, p_down
 
 
-def _tau_b(x: list[float], s: int) -> float:
-    n = len(x)
+def _tau_b(n: int, s: int, ties: list[int]) -> float:
     n0 = n * (n - 1) // 2
-    nt = sum(t * (t - 1) // 2 for t in _tie_group_sizes(x))
+    nt = sum(t * (t - 1) // 2 for t in ties)
     if nt == n0:
         raise AnalysisError("tau undefined: all values tied")
     return s / math.sqrt(float(n0) * float(n0 - nt))
@@ -146,7 +148,7 @@ def kendall_tau_b(series) -> float:
     tau = S / sqrt(n0 * (n0 - nt)) with n0 = n(n-1)/2.
     """
     x = _validate(series)
-    return _tau_b(x, mk_s(x))
+    return _tau_b(len(x), mk_s(x), _tie_group_sizes(x))
 
 
 def sen_slope(series) -> float:
@@ -171,7 +173,8 @@ def mk_test(series, alpha: float = DEFAULT_ALPHA) -> TrendResult:
         raise ValueError("alpha must lie strictly between 0 and 1")
     n = len(x)
     s = mk_s(x)
-    var_s = mk_variance(x)
+    ties = _tie_group_sizes(x)  # counted once, for the variance, the p-value path and tau
+    var_s = _variance(n, ties)
 
     if var_s == 0.0:
         return TrendResult(
@@ -187,8 +190,7 @@ def mk_test(series, alpha: float = DEFAULT_ALPHA) -> TrendResult:
     else:
         z = 0.0
 
-    has_ties = len(set(x)) < n
-    if n <= EXACT_MAX_N and not has_ties:
+    if n <= EXACT_MAX_N and not ties:
         method = "exact"
         p_two, p_up, p_down = _exact_pvalues(s, n)
     else:
@@ -205,7 +207,7 @@ def mk_test(series, alpha: float = DEFAULT_ALPHA) -> TrendResult:
         decision = NO_TREND
 
     return TrendResult(
-        s=s, var_s=var_s, z=z, tau=_tau_b(x, s),
+        s=s, var_s=var_s, z=z, tau=_tau_b(n, s, ties),
         p_two_sided=p_two, p_upward=p_up, p_downward=p_down,
         method=method, alpha=alpha, decision=decision,
     )

@@ -1,12 +1,14 @@
 """Tests for manifest/CSV ingestion, slicing, series building, and the pipeline."""
 
 import gc
+import hashlib
 import math
 import random
 import sys
 import threading
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +22,14 @@ from evometrics import (
     load_csv,
     load_manifest,
     mk_test,
+    report,
     run_pipeline,
     slice_distribution,
 )
 from evometrics.dataset import CSV_HEADER, MetricsDataset, Record, version_slices
 
 HEADER = "version,package,entity,metric,value\n"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def csv_for(rows):
@@ -302,6 +306,12 @@ class TestSlice:
         assert [v for v, _ in slices] == ["v1"]
         assert gaps == ("v2", "v3")
 
+    def test_repeated_label_in_the_order_is_served_once_at_its_first_position(self):
+        ds = replace(releases_of(*[[1.0, 2.0]] * 4), version_order=("v1", "v2", "v1", "v3"))
+        assert version_slices(ds, "p", "m") == (
+            [("v1", [1.0, 2.0]), ("v2", [1.0, 2.0]), ("v3", [1.0, 2.0])], ()
+        )
+
     def test_lookup_outside_the_version_order(self):
         ds = MetricsDataset(records=load_csv(csv_for(["v9,p,e,m,4"])).records, version_order=("v1",))
         assert list(slice_distribution(ds, "v9", "p", "m")) == [4.0]
@@ -505,7 +515,73 @@ class TestBuildSeries:
         assert series.points == (("v1", gini([0, 1, 2, 3])),)
 
 
+def releases_of(*slices):
+    """A dataset whose release v<i> holds the i-th list of values, one entity each."""
+    versions = tuple(f"v{i}" for i in range(len(slices)))
+    records = tuple(
+        Record(version, "p", f"e{j}", "m", value)
+        for version, values in zip(versions, slices)
+        for j, value in enumerate(values)
+    )
+    return MetricsDataset(records=records, version_order=versions)
+
+
+class TestRefusalPrecedence:
+    """The statistic's own refusals, release by release; then a short series; then a
+    bad alpha; then the other indices' refusals."""
+
+    @pytest.mark.parametrize("values, releases, statistic, epsilon, alpha, error, message", [
+        ([1.0, 2.0], 3, "gini", 0.0, 0.01, AnalysisError,
+         "series too short for trend: 3 points (need at least 4)"),
+        ([1e308, 5e307], 3, "theil", 0.5, 0.01, AnalysisError,
+         "series too short for trend: 3 points (need at least 4)"),
+        ([1e308, 5e307], 5, "theil", 0.5, 0.01, AnalysisError,
+         "version 'v0': n times the sum beyond the float range"),
+        ([1.0, 2.0], 5, "gini", 0.0, 1.5, ValueError, "alpha must lie strictly between 0 and 1"),
+        ([1.0, 2.0], 5, "gini", 0.0, 0.01, AnalysisError,
+         "version 'v0': invalid aversion parameter"),
+        ([1e308, 5e307], 5, "mean", 0.5, 1.5, ValueError,
+         "alpha must lie strictly between 0 and 1"),
+        ([1e308, 5e307], 5, "median", 0.5, 0.01, AnalysisError,
+         "version 'v0': n times the sum beyond the float range"),
+    ])
+    def test_same_values_in_every_release(
+        self, values, releases, statistic, epsilon, alpha, error, message
+    ):
+        ds = releases_of(*[values] * releases)
+        with pytest.raises(error) as info:
+            run_pipeline(ds, "p", "m", statistic, epsilon=epsilon, alpha=alpha)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("statistic, epsilon, message", [
+        ("atkinson", 0.0, "version 'v0': invalid aversion parameter"),
+        ("gini", 0.5, "version 'v0': n times the sum beyond the float range"),
+        ("theil", 0.5, "version 'v1': degenerate mean"),
+    ])
+    def test_each_release_is_validated_and_scored_before_the_next(
+        self, statistic, epsilon, message
+    ):
+        ds = releases_of([1e308, 5e307], [0.0, 0.0], [1.0, 2.0], [1.0, 3.0], [1.0, 4.0])
+        with pytest.raises(AnalysisError) as info:
+            run_pipeline(ds, "p", "m", statistic, epsilon=epsilon)
+        assert str(info.value) == message
+
+
 class TestPipeline:
+    def test_fixture_report_matches_pinned_digest(self):
+        manifest = load_manifest((FIXTURES / "synthetic_manifest.json").read_text())
+        ds = load_csv((FIXTURES / "synthetic_metrics.csv").read_text(), manifest)
+        pairs = sorted({(r.package, r.metric) for r in ds.records})
+        assert len(pairs) == 2
+        entries = [
+            report.pipeline_entry(run_pipeline(ds, package, metric, statistic))
+            for package, metric in pairs
+            for statistic in ("gini", "pietra", "theil", "atkinson", "mean", "median")
+        ]
+        text = report.to_json(report.document({}, entries, []))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "998cd76762d3d160fec1ed8f1ab1ada272886f6f66e028399aba505e4340f84f"
+
     def test_increasing_gini_series_is_upward(self):
         # slice spread widens version over version, so gini strictly rises
         ds = dataset_with_series([[1, 1 + k, 1 + 2 * k, 1 + 3 * k] for k in range(12)])

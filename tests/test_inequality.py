@@ -320,3 +320,112 @@ class TestCorrectlyRoundedSums:
     def test_atkinson_with_terms_past_the_float_range_is_one(self):
         # (1e-10 / mu) ** (1 - 40) overflows; the generalized mean of order -39 is 0
         assert atkinson([1e-10, 1.0, 1.0], 40.0) == 1.0
+
+
+# The generator-expression kernels the map-based ones replaced, kept as the reference:
+# every index must keep their bits and their refusals.
+def reference_validate(values):
+    x = [float(v) for v in values]
+    if not x:
+        raise AnalysisError("empty input")
+    if not all(map(math.isfinite, x)):
+        raise AnalysisError("non-finite value")
+    x.sort()
+    if x[0] < 0.0:
+        raise AnalysisError("negative value")
+    try:
+        total = math.fsum(x)
+    except OverflowError:
+        raise AnalysisError("sum beyond the float range") from None
+    if total / len(x) <= 0.0:
+        raise AnalysisError("degenerate mean")
+    return x, total
+
+
+def reference_gini(x, total):
+    n = len(x)
+    if math.isinf(n * total):
+        raise AnalysisError("n times the sum beyond the float range")
+    return math.fsum((2 * i - n - 1) * v for i, v in enumerate(x, 1)) / (n * total)
+
+
+def reference_pietra(x, total):
+    n = len(x)
+    if math.isinf(n * total):
+        raise AnalysisError("n times the sum beyond the float range")
+    mu = total / n
+    return math.fsum(abs(v - mu) for v in x) / (2.0 * n * mu)
+
+
+def reference_theil(x, total):
+    n = len(x)
+    mu = total / n
+    return math.fsum(v / mu * math.log(v / mu) for v in x if v > 0.0) / n
+
+
+def reference_atkinson(x, total, epsilon):
+    if not epsilon > 0.0:
+        raise AnalysisError("invalid aversion parameter")
+    n = len(x)
+    mu = total / n
+    if epsilon >= 1.0 and x[0] == 0.0:
+        return 1.0
+    if epsilon == 1.0:
+        return 1.0 - math.exp(math.fsum(math.log(v / mu) for v in x) / n)
+    try:
+        m = math.fsum((v / mu) ** (1.0 - epsilon) for v in x) / n
+    except OverflowError:
+        return 1.0
+    return 1.0 - m ** (1.0 / (1.0 - epsilon))
+
+
+def reference_report(values, epsilon):
+    x, total = reference_validate(values)
+    return (reference_gini(x, total), reference_pietra(x, total), reference_theil(x, total),
+            reference_atkinson(x, total, epsilon), epsilon, len(x))
+
+
+def outcome(func, *args):
+    """repr of the result, or the exact type and text of the refusal."""
+    try:
+        return repr(func(*args))
+    except (AnalysisError, ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def kernel_inputs(seed, cases):
+    rng = np.random.default_rng(seed)
+    yield from ([7.5], [0.0], [0.0, 0.0, 3.0], [2.0, 2.0, 2.0], [5e-324], [5e-324, 5e-324, 1e-300],
+                [0.0, 5e-324], [1e308], [1e308, 5e307], [0.0, 0.0, 0.0, 1e308], [1e308, 1e308],
+                [1e-10, 1.0, 1.0], [1e-300, 1e300], [-0.0, 1.0], [])
+    for _ in range(cases):
+        n = int(rng.choice([1, 2, 3, 7, 50, 400]))
+        kind = int(rng.integers(0, 6))
+        if kind == 0:  # ties and zeros
+            x = rng.integers(0, 4, n).astype(float)
+        elif kind == 1:  # subnormals among normal values
+            x = rng.choice([0.0, 5e-324, 1e-310, 2.5e-308, 1.0], n)
+        elif kind == 2:  # near the top of the float range
+            x = 10.0 ** rng.uniform(300.0, 308.0, n) / n
+        elif kind == 3:  # a zero smallest value
+            x = np.concatenate([[0.0], rng.lognormal(0.0, 2.0, n - 1)])
+        elif kind == 4:  # tiny values, where high aversion overflows a term
+            x = 10.0 ** rng.uniform(-300.0, 2.0, n)
+        else:
+            x = rng.lognormal(0.0, 3.0, n)
+        yield rng.permutation(x).tolist()
+
+
+class TestKernelBits:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_indices_and_report_match_the_reference_kernels(self, seed):
+        pairs = [(gini, reference_gini), (pietra, reference_pietra), (theil, reference_theil)]
+        for x in kernel_inputs(seed, 400):
+            for func, kernel in pairs:
+                assert outcome(func, x) == outcome(lambda v: kernel(*reference_validate(v)), x), x
+            for epsilon in (1e-9, 0.5, 1.0, 2.0, 3.5, 0.0):
+                assert outcome(atkinson, x, epsilon) == outcome(
+                    lambda v: reference_atkinson(*reference_validate(v), epsilon), x
+                ), (epsilon, x)
+                got = outcome(lambda v: tuple(vars(inequality_report(v, epsilon)).values()), x)
+                assert got == outcome(reference_report, x, epsilon), (epsilon, x)
