@@ -54,14 +54,12 @@ def _read_file(path: str) -> tuple[str, bytes]:
 
 def _load_inputs(manifest_path: str, data_path: str) -> tuple[MetricsDataset, dict]:
     manifest_text, manifest_bytes = _read_file(manifest_path)
+    inputs = {"manifest": report.file_stamp(manifest_path, manifest_bytes)}
     data_text, data_bytes = _read_file(data_path)
+    inputs["data"] = report.file_stamp(data_path, data_bytes)
+    del data_bytes  # not held beside the text and the records while the table loads
     version_order = load_manifest(manifest_text)
-    ds = load_csv(data_text, version_order)
-    inputs = {
-        "manifest": report.file_stamp(manifest_path, manifest_bytes),
-        "data": report.file_stamp(data_path, data_bytes),
-    }
-    return ds, inputs
+    return load_csv(data_text, version_order), inputs
 
 
 def cmd_inequality(
@@ -141,6 +139,8 @@ def cmd_diversity(
     this is a single-version analysis.
     """
     data_text, data_bytes = _read_file(data_path)
+    inputs = {"data": report.file_stamp(data_path, data_bytes)}
+    del data_bytes  # not held beside the text and the records while the table loads
     ds = load_csv(data_text)
     values = dict(version_slices(ds, package, category_metric)[0]).get(version)
     if values is None:
@@ -171,7 +171,6 @@ def cmd_diversity(
             "diversity": indices,
         },
     )
-    inputs = {"data": report.file_stamp(data_path, data_bytes)}
     return report.to_json(report.document(inputs, [entry], []))
 
 

@@ -106,6 +106,9 @@ def load_manifest(text: str) -> tuple[str, ...]:
     return tuple(versions)
 
 
+_CHUNK_CHARS = 1 << 18  # load_csv parses its text this many characters at a time, to the next "\n"
+
+
 def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDataset:
     """Parse a long-format metrics table.
 
@@ -120,75 +123,92 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
     is refused for the first of: field count, empty label, unknown version,
     unparsable value, non-finite value, duplicate record. Equal labels are
     one shared string object.
+
+    The body is parsed in chunks of about 2**18 characters, each ending just
+    after a line feed. So beyond the text, the records and one key per
+    record for the duplicate check, a load's memory is bounded by the chunk,
+    not by the file.
     """
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise InputError("line 1: missing header")
-    header = tuple(f.strip() for f in lines[0].split(","))
-    if header != CSV_HEADER:
-        raise InputError(
-            f"line 1: expected header {','.join(CSV_HEADER)!r}, got {lines[0].strip()!r}"
-        )
-    del lines[0]
-    rows = list(filter(None, map(str.strip, lines)))  # blank lines skipped
-    del lines
-    # (row, rule rank, message) of each rule's first failing row; the smallest pair is
-    # the error a line-by-line check would raise first
-    failures: list[tuple[int, int, str]] = []
-    commas = list(map(str.count, rows, repeat(",")))
-    n = len(rows)
-    if commas.count(4) != n:
-        n = next(i for i, count in enumerate(commas) if count != 4)
-        failures.append((n, 0, f"expected 5 comma-separated fields, got {commas[n] + 1}"))
-        del rows[n:]  # the rules below see only the rows before it
-    joined = ",".join(rows)
-    del rows
-    fields = joined.split(",") if n else []
-    del joined
-    columns = [list(map(str.strip, fields[i::5])) for i in range(5)]
-    del fields
-    shared: dict[str, str] = {}  # one string object per distinct label
-    labels = [list(map(shared.setdefault, column, column)) for column in columns[:4]]
-    value_texts = columns[4]
-    del columns
-    versions = labels[0]
-    if "" in shared:
-        first_empty = min(column.index("") for column in labels if "" in column)
-        failures.append((first_empty, 1, "empty label field"))
-    del shared
     known = frozenset(version_order) if version_order is not None else None
-    if known is not None and not known.issuperset(versions):
-        i = next(i for i, v in enumerate(versions) if v not in known)
-        failures.append((i, 2, f"unknown version {versions[i]!r} (not in manifest)"))
-    try:
-        values = list(map(float, value_texts))
-    except ValueError:
-        i = list(map(_parses_as_float, value_texts)).index(False)
-        failures.append((i, 3, f"cannot parse value {value_texts[i]!r}"))
-        values = list(map(float, value_texts[:i]))
-    if not all(map(math.isfinite, values)):
-        i = list(map(math.isfinite, values)).index(False)
-        failures.append((i, 4, f"non-finite value {value_texts[i]!r}"))
-    del value_texts
+    shared: dict[str, str] = {}  # one string object per distinct label
+    records: list[Record] = []
+    implied: dict[str, None] = {}  # versions by first appearance
+    seen: set[tuple[str, ...]] = set()  # (version, package, entity, metric) of every row so far
+    done = end = 0  # nonblank rows of the earlier chunks; where the next chunk starts
     gc_was_enabled = gc.isenabled()
     gc.disable()  # every object built below is acyclic; collecting would only rescan them
     try:
-        if len(set(zip(*labels))) != n:
-            seen: set[tuple[str, ...]] = set()
-            for i, key in enumerate(zip(*labels)):
-                if key in seen:
-                    failures.append((i, 5, f"duplicate record for {key!r}"))
-                    break
-                seen.add(key)
-        if failures:
-            row, _, message = min(failures)
-            raise InputError(f"line {_line_number(text, row)}: {message}")
-        records = tuple(map(tuple.__new__, repeat(Record), zip(*labels, values)))
+        while not end or end < len(text):  # an empty text is one chunk too: missing header
+            start, end = end, text.find("\n", end + _CHUNK_CHARS - 1) + 1 or len(text)
+            lines = text[start:end].splitlines()  # a "\r\n" never straddles two chunks
+            if not start:
+                if not lines or not lines[0].strip():
+                    raise InputError("line 1: missing header")
+                header = tuple(f.strip() for f in lines[0].split(","))
+                if header != CSV_HEADER:
+                    raise InputError(
+                        f"line 1: expected header {','.join(CSV_HEADER)!r}, "
+                        f"got {lines[0].strip()!r}"
+                    )
+                del lines[0]
+            rows = list(filter(None, map(str.strip, lines)))  # blank lines skipped
+            del lines
+            # (row, rule rank, message) of each rule's first failing row; the smallest pair
+            # is the error a line-by-line check would raise first
+            failures: list[tuple[int, int, str]] = []
+            commas = list(map(str.count, rows, repeat(",")))
+            n = len(rows)
+            if commas.count(4) != n:
+                n = next(i for i, count in enumerate(commas) if count != 4)
+                failures.append((n, 0, f"expected 5 comma-separated fields, got {commas[n] + 1}"))
+                del rows[n:]  # the rules below see only the rows before it
+            joined = ",".join(rows)
+            del rows
+            fields = joined.split(",") if n else []
+            del joined
+            columns = [list(map(str.strip, fields[i::5])) for i in range(5)]
+            del fields
+            labels = [list(map(shared.setdefault, column, column)) for column in columns[:4]]
+            value_texts = columns[4]
+            del columns
+            versions = labels[0]
+            if "" in shared:  # only ever from this chunk: an earlier one would have raised
+                first_empty = min(column.index("") for column in labels if "" in column)
+                failures.append((first_empty, 1, "empty label field"))
+            if known is not None and not known.issuperset(versions):
+                i = next(i for i, v in enumerate(versions) if v not in known)
+                failures.append((i, 2, f"unknown version {versions[i]!r} (not in manifest)"))
+            try:
+                values = list(map(float, value_texts))
+            except ValueError:
+                i = list(map(_parses_as_float, value_texts)).index(False)
+                failures.append((i, 3, f"cannot parse value {value_texts[i]!r}"))
+                values = list(map(float, value_texts[:i]))
+            if not all(map(math.isfinite, values)):
+                i = list(map(math.isfinite, values)).index(False)
+                failures.append((i, 4, f"non-finite value {value_texts[i]!r}"))
+            del value_texts
+            before = len(seen)
+            seen.update(zip(*labels))
+            if len(seen) - before != n:
+                earlier = set(map(itemgetter(0, 1, 2, 3), records))
+                for i, key in enumerate(zip(*labels)):
+                    if key in earlier:
+                        failures.append((i, 5, f"duplicate record for {key!r}"))
+                        break
+                    earlier.add(key)
+            if failures:
+                row, _, message = min(failures)
+                raise InputError(f"line {_line_number(text, done + row)}: {message}")
+            records.extend(map(tuple.__new__, repeat(Record), zip(*labels, values)))
+            if known is None:
+                implied.update(dict.fromkeys(versions))
+            done += n
     finally:
         if gc_was_enabled:
             gc.enable()
-    order = tuple(version_order) if version_order is not None else tuple(dict.fromkeys(versions))
-    return MetricsDataset(records=records, version_order=order)
+    order = tuple(version_order) if version_order is not None else tuple(implied)
+    return MetricsDataset(records=tuple(records), version_order=order)
 
 
 def _parses_as_float(text: str) -> bool:

@@ -19,6 +19,7 @@ any order of its input, on any CPU and with any thread count.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul, sub, truediv
@@ -80,7 +81,8 @@ def _pietra(x: list[float], total: float) -> float:
 
 def _theil(x: list[float], total: float) -> float:
     n = len(x)
-    r = list(map(truediv, filter(None, x), repeat(total / n)))  # zeros left out: 0 ln 0 = 0
+    # zeros, and ratios that underflow to 0 (each term below 4e-321), left out: 0 ln 0 = 0
+    r = list(filter(None, map(truediv, x, repeat(total / n))))
     return math.fsum(map(mul, r, map(math.log, r))) / n
 
 
@@ -91,6 +93,8 @@ def _atkinson(x: list[float], total: float, epsilon: float) -> float:
     r = map(truediv, x, repeat(total / n))
     if epsilon >= 1.0 and x[0] == 0.0:
         return 1.0
+    if x[bisect_right(x, 0.0)] / (total / n) == 0.0:  # a lost term, or no power or log of 0
+        raise AnalysisError("ratio of a positive value to the mean below the float range")
     if epsilon == 1.0:
         return 1.0 - math.exp(math.fsum(map(math.log, r)) / n)
     try:
@@ -140,7 +144,8 @@ def theil(values) -> float:
     """Theil T entropy index: (1/n) sum (x/mu) ln(x/mu).
 
     0 for equality, ln(n) when exactly one entity holds everything.
-    Zero-valued entries contribute nothing (0*ln(0) = 0).
+    Zero-valued entries contribute nothing (0*ln(0) = 0), nor do values
+    whose ratio to the mean underflows to 0.
     """
     return _theil(*_validate(values))
 
@@ -151,6 +156,8 @@ def atkinson(values, epsilon: float = DEFAULT_EPSILON) -> float:
     1 minus the ratio of the generalized mean of order 1-epsilon to the
     arithmetic mean; for epsilon = 1 the generalized mean is the geometric
     mean. Ranges over [0, 1]; any zero value forces 1 when epsilon >= 1.
+    Otherwise a positive value whose ratio to the mean underflows to 0 is
+    refused: its term would be lost, or have no power or log.
     """
     return _atkinson(*_validate(values), epsilon)
 

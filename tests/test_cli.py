@@ -117,6 +117,19 @@ class TestInequalityCommand:
         assert code == 1
         assert "v1" in err and "degenerate mean" in err
 
+    def test_underflowing_ratio_exits_1_naming_the_version(self, tmp_path, capsys):
+        manifest, data = write_inputs(
+            tmp_path, ["v1", "v2"], ["v1,p,a,m,1", "v1,p,b,m,2", "v2,p,a,m,5e-324", "v2,p,b,m,1e300"]
+        )
+        code, out, err = run_cli(
+            ["inequality", "--manifest", manifest, "--data", data,
+             "--package", "p", "--metric", "m"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert "version 'v2': ratio of a positive value to the mean below the float range" in err
+        assert "Traceback" not in err
+
     def test_drop_zeros_flag(self, tmp_path, capsys):
         manifest, data = write_inputs(
             tmp_path, ["v1"], ["v1,p,a,m,0", "v1,p,b,m,1", "v1,p,c,m,2", "v1,p,d,m,3"]

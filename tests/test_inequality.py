@@ -102,6 +102,31 @@ class TestErrors:
             atkinson([1, 2, 3], epsilon)
 
 
+class TestUnderflowingRatios:
+    """A positive value whose ratio to the mean underflows to 0 (here 5e-324 / 5e299)."""
+
+    def test_theil_leaves_the_underflowed_term_out_like_a_zero(self):
+        # the term is (x/mu) ln(x/mu) < 4e-321 in size; the exact index is ln 2 to ~600 digits
+        assert theil([5e-324, 1e300]) == math.log(2.0)
+        assert theil([0.0, 5e-324, 1e300]) == theil([0.0, 0.0, 1e300])
+
+    @pytest.mark.parametrize("epsilon", [1e-9, 0.5, 0.99, 1.0, 2.0, 3.5])
+    def test_atkinson_refuses_at_any_aversion(self, epsilon):
+        # at 0.99 the lost term made atkinson([5e-324] + [1e300] * 99) 0.63027036235; the
+        # exact value is 0.63027014398. At 1 and above, the log or power of 0 raised.
+        for values in ([5e-324, 1e300], [5e-324] + [1e300] * 99, [1e-300, 1e300]):
+            with pytest.raises(AnalysisError, match="ratio of a positive value to the mean"):
+                atkinson(values, epsilon)
+        with pytest.raises(AnalysisError, match="ratio of a positive value to the mean"):
+            inequality_report([5e-324, 1e300], epsilon)
+
+    def test_a_zero_still_forces_atkinson_to_one_from_aversion_one(self):
+        assert atkinson([0.0, 5e-324, 1e300], 1.0) == 1.0
+        assert atkinson([0.0, 5e-324, 1e300], 2.0) == 1.0
+        with pytest.raises(AnalysisError, match="ratio of a positive value to the mean"):
+            atkinson([0.0, 5e-324, 1e300], 0.5)
+
+
 class TestConventions:
     def test_single_element_distribution_scores_zero(self):
         for func in INDICES.values():
@@ -360,7 +385,7 @@ def reference_pietra(x, total):
 def reference_theil(x, total):
     n = len(x)
     mu = total / n
-    return math.fsum(v / mu * math.log(v / mu) for v in x if v > 0.0) / n
+    return math.fsum(v / mu * math.log(v / mu) for v in x if v / mu > 0.0) / n
 
 
 def reference_atkinson(x, total, epsilon):
@@ -370,6 +395,8 @@ def reference_atkinson(x, total, epsilon):
     mu = total / n
     if epsilon >= 1.0 and x[0] == 0.0:
         return 1.0
+    if any(v / mu == 0.0 for v in x if v > 0.0):
+        raise AnalysisError("ratio of a positive value to the mean below the float range")
     if epsilon == 1.0:
         return 1.0 - math.exp(math.fsum(math.log(v / mu) for v in x) / n)
     try:
