@@ -41,23 +41,22 @@ EXIT_TREND_DETECTED = 3
 SOURCE_SUFFIXES = {".c", ".h", ".cc", ".hh", ".cpp", ".hpp", ".cxx", ".hxx", ".icc", ".inl"}
 
 
-def _read_file(path: str) -> tuple[str, bytes]:
+def _read_file(path: str) -> tuple[str, dict]:
+    """The file's text and its report stamp; its bytes are not held beside the text."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
-        return data.decode("utf-8"), data
+        return data.decode("utf-8"), report.file_stamp(path, data)
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot decode {path} as UTF-8: {exc}") from exc
 
 
 def _load_inputs(manifest_path: str, data_path: str) -> tuple[MetricsDataset, dict]:
-    manifest_text, manifest_bytes = _read_file(manifest_path)
-    inputs = {"manifest": report.file_stamp(manifest_path, manifest_bytes)}
-    data_text, data_bytes = _read_file(data_path)
-    inputs["data"] = report.file_stamp(data_path, data_bytes)
-    del data_bytes  # not held beside the text and the records while the table loads
+    manifest_text, manifest_stamp = _read_file(manifest_path)
+    data_text, data_stamp = _read_file(data_path)
+    inputs = {"manifest": manifest_stamp, "data": data_stamp}
     version_order = load_manifest(manifest_text)
     return load_csv(data_text, version_order), inputs
 
@@ -138,9 +137,7 @@ def cmd_diversity(
     shortest decimal form is the category label. No manifest is needed:
     this is a single-version analysis.
     """
-    data_text, data_bytes = _read_file(data_path)
-    inputs = {"data": report.file_stamp(data_path, data_bytes)}
-    del data_bytes  # not held beside the text and the records while the table loads
+    data_text, data_stamp = _read_file(data_path)
     ds = load_csv(data_text)
     values = dict(version_slices(ds, package, category_metric)[0]).get(version)
     if values is None:
@@ -171,7 +168,7 @@ def cmd_diversity(
             "diversity": indices,
         },
     )
-    return report.to_json(report.document(inputs, [entry], []))
+    return report.to_json(report.document({"data": data_stamp}, [entry], []))
 
 
 def _discover_sources(paths: list[str]) -> tuple[list[Path], list[str], list[str]]:
@@ -248,18 +245,20 @@ def _write_extract_output(body: str, output: str) -> None:
     path = Path(os.path.realpath(output))  # through a symlink, replace its target
     try:
         old = path.read_bytes() if path.exists() else b""
-        if old:  # append to an existing dataset
-            first_line, *rows = old.decode("utf-8", errors="replace").split("\n")
-            if tuple(f.strip() for f in first_line.split(",")) != CSV_HEADER:
-                raise InputError(f"cannot append to {output}: header "
-                                 f"{first_line.strip()!r} is not {header.strip()!r}")
-            # a key already in the file would make load_csv reject it as a duplicate
+        if old:  # append to an existing dataset, which must load as one
+            try:
+                records = load_csv(old.decode("utf-8")).records
+            except UnicodeDecodeError as exc:
+                line = old.count(b"\n", 0, exc.start) + 1
+                raise InputError(f"cannot append to {output}: line {line}: {exc}") from exc
+            except InputError as exc:
+                raise InputError(f"cannot append to {output}: {exc}") from exc
+            # a key already in the file would make load_csv reject the result as a duplicate
             new_keys = {tuple(row.split(",")[:4]) for row in body.splitlines()}
-            for row in rows:
-                key = tuple(f.strip() for f in row.split(",")[:4])
-                if key in new_keys:
+            for record in records:
+                if record[:4] in new_keys:
                     raise InputError(f"cannot append to {output}: it already holds "
-                                     f"records for {key[:3]!r}")
+                                     f"records for {record[:3]!r}")
             if not old.endswith(b"\n"):  # a last row without its newline
                 body = "\n" + body
             data = old + body.encode("utf-8")

@@ -127,20 +127,22 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
     The body is parsed in chunks of about 2**18 characters, each ending just
     after a line feed. So beyond the text, the records and one key per
     record for the duplicate check, a load's memory is bounded by the chunk,
-    not by the file.
+    not by the file; a refusal's too, since it numbers its line and finds
+    its duplicate within the failing chunk.
     """
     known = frozenset(version_order) if version_order is not None else None
     shared: dict[str, str] = {}  # one string object per distinct label
     records: list[Record] = []
     implied: dict[str, None] = {}  # versions by first appearance
     seen: set[tuple[str, ...]] = set()  # (version, package, entity, metric) of every row so far
-    done = end = 0  # nonblank rows of the earlier chunks; where the next chunk starts
+    line, end = 1, 0  # the next chunk's first line number, and where it starts
     gc_was_enabled = gc.isenabled()
     gc.disable()  # every object built below is acyclic; collecting would only rescan them
     try:
         while not end or end < len(text):  # an empty text is one chunk too: missing header
             start, end = end, text.find("\n", end + _CHUNK_CHARS - 1) + 1 or len(text)
             lines = text[start:end].splitlines()  # a "\r\n" never straddles two chunks
+            first, line = line, line + len(lines)
             if not start:
                 if not lines or not lines[0].strip():
                     raise InputError("line 1: missing header")
@@ -191,7 +193,8 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
             before = len(seen)
             seen.update(zip(*labels))
             if len(seen) - before != n:
-                earlier = set(map(itemgetter(0, 1, 2, 3), records))
+                keys = set(zip(*labels))
+                earlier = set(filter(keys.__contains__, map(itemgetter(0, 1, 2, 3), records)))
                 for i, key in enumerate(zip(*labels)):
                     if key in earlier:
                         failures.append((i, 5, f"duplicate record for {key!r}"))
@@ -199,11 +202,11 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
                     earlier.add(key)
             if failures:
                 row, _, message = min(failures)
-                raise InputError(f"line {_line_number(text, done + row)}: {message}")
+                row += not start  # the first chunk's first nonblank line is the header
+                raise InputError(f"line {_line_number(text[start:end], first, row)}: {message}")
             records.extend(map(tuple.__new__, repeat(Record), zip(*labels, values)))
             if known is None:
                 implied.update(dict.fromkeys(versions))
-            done += n
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -219,9 +222,9 @@ def _parses_as_float(text: str) -> bool:
     return True
 
 
-def _line_number(text: str, row: int) -> int:
-    """1-based line number of the ``row``-th nonblank line after the header."""
-    nonblank = (n for n, line in enumerate(text.splitlines()[1:], start=2) if line.strip())
+def _line_number(chunk: str, first: int, row: int) -> int:
+    """Number of the ``row``-th (from 0) nonblank line of ``chunk``, counting from ``first``."""
+    nonblank = (n for n, line in enumerate(chunk.splitlines(), start=first) if line.strip())
     return next(islice(nonblank, row, None))
 
 

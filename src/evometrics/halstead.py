@@ -239,13 +239,7 @@ def extract_file(source_text: str, version: str, package: str, entity: str) -> l
         measures = halstead_measures(counts)
     except (AnalysisError, InputError) as exc:
         raise type(exc)(f"{entity}: {exc}") from exc
-    values = {
-        "halstead_n1": float(counts.n1),
-        "halstead_n2": float(counts.n2),
-        "halstead_N1": float(counts.N1),
-        "halstead_N2": float(counts.N2),
-        "halstead_volume": measures.volume,
-        "halstead_difficulty": measures.difficulty,
-        "halstead_effort": measures.effort,
-    }
-    return [Record(version, package, entity, metric, value) for metric, value in values.items()]
+    values = (counts.n1, counts.n2, counts.N1, counts.N2,
+              measures.volume, measures.difficulty, measures.effort)
+    return [Record(version, package, entity, metric, float(value))
+            for metric, value in zip(HALSTEAD_METRICS, values)]

@@ -9,6 +9,7 @@ equal to the in-memory values bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -30,18 +31,7 @@ def file_stamp(path: str, data: bytes) -> dict:
 
 
 def trend_fields(trend: TrendResult) -> dict:
-    return {
-        "s": trend.s,
-        "var_s": trend.var_s,
-        "z": trend.z,
-        "tau": trend.tau,
-        "p_two_sided": trend.p_two_sided,
-        "p_upward": trend.p_upward,
-        "p_downward": trend.p_downward,
-        "method": trend.method,
-        "alpha": trend.alpha,
-        "decision": trend.decision,
-    }
+    return {f.name: getattr(trend, f.name) for f in dataclasses.fields(trend)}
 
 
 def inequality_rows(versions: list[str], reports: list[InequalityReport]) -> list[dict]:
@@ -123,11 +113,9 @@ def csv_table(header: list[str], rows: list[list]) -> str:
 
 
 def inequality_csv(versions: list[str], reports: list[InequalityReport]) -> str:
-    rows = [
-        [version, rep.n, rep.gini, rep.pietra, rep.theil, rep.atkinson, rep.epsilon]
-        for version, rep in zip(versions, reports)
-    ]
-    return csv_table(["version", "n", "gini", "pietra", "theil", "atkinson", "epsilon"], rows)
+    """The columns of ``inequality_rows``, one row per version; ``reports`` is nonempty."""
+    rows = inequality_rows(versions, reports)
+    return csv_table(list(rows[0]), [list(row.values()) for row in rows])
 
 
 def trend_csv(series: VersionSeries, trend: TrendResult) -> str:

@@ -502,6 +502,31 @@ class TestExtractCommand:
         assert str(out_csv) in err and "header" in err
         assert out_csv.read_text() == "foo,bar\n1,2\n"
 
+    @pytest.mark.parametrize("target, refusal", [
+        (HEADER.encode() + b"v1,p,f.cc\n", "line 2: expected 5 comma-separated fields, got 3"),
+        (HEADER.encode() + b"v0,p,x,m,1\nv0,p,x,m,2\n",
+         "line 3: duplicate record for ('v0', 'p', 'x', 'm')"),
+        (HEADER.encode() + b"v0,p,x,m,1\n\nv0,p,y,m,nan\n", "line 4: non-finite value 'nan'"),
+        (HEADER.encode() + b"v0,p,x,m,1\nv0,p,\xff,m,1\n", "line 3: 'utf-8' codec can't decode"),
+    ], ids=["field count", "duplicate", "nan", "not utf-8"])
+    def test_append_to_a_target_load_csv_refuses_exits_2_naming_the_file_and_line(
+        self, tmp_path, capsys, target, refusal
+    ):
+        src = tmp_path / "f.cc"
+        src.write_text("a = b;\n")
+        out_csv = tmp_path / "dataset.csv"
+        out_csv.write_bytes(target)
+        code, out, err = run_cli(
+            ["extract", str(src), "--version", "v1", "--package", "p",
+             "--output", str(out_csv)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot append to {out_csv}: {refusal}")
+        assert out_csv.read_bytes() == target
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.csv", "f.cc"]
+
     def test_directory_traversal_sorted(self, tmp_path, capsys):
         tree = tmp_path / "srcs"
         (tree / "sub").mkdir(parents=True)

@@ -395,6 +395,33 @@ class TestLoadCsvChunks:
         assert len(ds.records) == rows
         assert (peak - retained) / rows < 180
 
+    @pytest.mark.parametrize("last, message", [
+        ("v1,pkg0,src/file0.cc,m0,9", "duplicate record for ('v1', 'pkg0', 'src/file0.cc', 'm0')"),
+        ("v1,pkg0,src/file0.cc", "expected 5 comma-separated fields, got 3"),
+    ], ids=["duplicate", "field count"])
+    def test_refusal_on_the_last_line_peaks_like_a_clean_load(self, last, message, monkeypatch):
+        # Numbering the line by splitting the whole text, or keying every earlier record to
+        # find the duplicate, peaked 25 % (field count) and 60 % (duplicate) above the clean
+        # load; both are done within the failing chunk, whose share a small chunk keeps small.
+        monkeypatch.setattr(dataset, "_CHUNK_CHARS", 1 << 14, raising=False)
+        rows = 20_000
+        clean = HEADER + "".join(
+            f"v1,pkg{i % 7},src/file{i}.cc,m{i % 3},{i / 4}\n" for i in range(rows)
+        )
+        peaks = []
+        for text in (clean, clean + last + "\n"):
+            tracemalloc.start()
+            try:
+                load_csv(text, ["v1"])
+            except InputError as exc:
+                assert str(exc) == f"line {rows + 2}: {message}"
+            else:
+                assert text == clean
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+        assert peaks[1] < 1.05 * peaks[0]
+
 
 class TestSlice:
     def test_values_sorted_by_entity(self):
