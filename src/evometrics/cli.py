@@ -238,9 +238,13 @@ def cmd_extract(
 
 
 def _write_extract_output(body: str, output: str) -> None:
-    header = ",".join(CSV_HEADER) + "\n"
+    text = ",".join(CSV_HEADER) + "\n" + body  # as --output - prints it
+    try:  # the new rows must load on their own, numbered as in that text
+        new_keys = {record[:4] for record in load_csv(text).records}
+    except InputError as exc:
+        raise InputError(f"extracted rows, {exc}") from exc
     if output == "-":
-        sys.stdout.write(header + body)
+        sys.stdout.write(text)
         return
     path = Path(os.path.realpath(output))  # through a symlink, replace its target
     try:
@@ -254,7 +258,6 @@ def _write_extract_output(body: str, output: str) -> None:
             except InputError as exc:
                 raise InputError(f"cannot append to {output}: {exc}") from exc
             # a key already in the file would make load_csv reject the result as a duplicate
-            new_keys = {tuple(row.split(",")[:4]) for row in body.splitlines()}
             for record in records:
                 if record[:4] in new_keys:
                     raise InputError(f"cannot append to {output}: it already holds "
@@ -263,7 +266,7 @@ def _write_extract_output(body: str, output: str) -> None:
                 body = "\n" + body
             data = old + body.encode("utf-8")
         else:
-            data = (header + body).encode("utf-8")
+            data = text.encode("utf-8")
         _replace_file(path, data)
     except OSError as exc:
         raise InputError(f"cannot write {output}: {exc.strerror or exc}") from exc
@@ -316,30 +319,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("inequality", help="per-version inequality indices for one slice")
-    p.add_argument("--manifest", required=True, help="JSON manifest declaring version order")
-    p.add_argument("--data", required=True, help="long-format metrics CSV")
-    p.add_argument("--package", required=True)
-    p.add_argument("--metric", required=True)
-    p.add_argument("--epsilon", type=_epsilon_arg, default=DEFAULT_EPSILON,
-                   help="Atkinson aversion parameter (default 0.5)")
-    p.add_argument("--drop-zeros", action="store_true",
-                   help="filter zero-valued measurements out of every slice")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
+    series = argparse.ArgumentParser(add_help=False)  # the options of inequality and trend
+    series.add_argument("--manifest", required=True, help="JSON manifest declaring version order")
+    series.add_argument("--data", required=True, help="long-format metrics CSV")
+    series.add_argument("--package", required=True)
+    series.add_argument("--metric", required=True)
+    series.add_argument("--epsilon", type=_epsilon_arg, default=DEFAULT_EPSILON,
+                        help="Atkinson aversion parameter (default 0.5)")
+    series.add_argument("--drop-zeros", action="store_true",
+                        help="filter zero-valued measurements out of every slice")
+    series.add_argument("--format", choices=("csv", "json"), default="json")
+
+    p = sub.add_parser("inequality", parents=[series],
+                       help="per-version inequality indices for one slice")
     p.set_defaults(func=_run_inequality)
 
-    p = sub.add_parser("trend", help="Mann-Kendall trend over a version series")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--package", required=True)
-    p.add_argument("--metric", required=True)
+    p = sub.add_parser("trend", parents=[series], help="Mann-Kendall trend over a version series")
     p.add_argument("--statistic", choices=STATISTICS, default="gini")
     p.add_argument("--alpha", type=_alpha_arg, default=DEFAULT_ALPHA,
                    help="significance level (default 0.01)")
-    p.add_argument("--epsilon", type=_epsilon_arg, default=DEFAULT_EPSILON)
-    p.add_argument("--drop-zeros", action="store_true",
-                   help="filter zero-valued measurements out of every slice")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--plot", metavar="PATH.svg", default=None,
                    help="also write an SVG line plot of the series")
     p.add_argument("--ci-exit", action="store_true",

@@ -14,7 +14,8 @@ import gc
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice, repeat
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -46,8 +47,17 @@ class MetricsDataset:
 
     records: tuple[Record, ...]
     version_order: tuple[str, ...]
-    # package -> metric -> version -> records in file order, built at the first lookup
-    _groups: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def _groups(self) -> dict:
+        """package -> metric -> version -> records in file order."""
+        groups: dict = {}
+        for r in self.records:
+            try:
+                groups[r.package][r.metric][r.version].append(r)
+            except KeyError:
+                groups.setdefault(r.package, {}).setdefault(r.metric, {})[r.version] = [r]
+        return groups
 
 
 @dataclass(frozen=True)
@@ -135,24 +145,23 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
     records: list[Record] = []
     implied: dict[str, None] = {}  # versions by first appearance
     seen: set[tuple[str, ...]] = set()  # (version, package, entity, metric) of every row so far
-    line, end = 1, 0  # the next chunk's first line number, and where it starts
+    # the first line as the chunks below would split it; it ends at or before the first "\n"
+    lines = text[: text.find("\n") + 1 or None].splitlines(keepends=True)
+    if not lines or not lines[0].strip():
+        raise InputError("line 1: missing header")
+    header = tuple(f.strip() for f in lines[0].split(","))
+    if header != CSV_HEADER:
+        raise InputError(
+            f"line 1: expected header {','.join(CSV_HEADER)!r}, got {lines[0].strip()!r}"
+        )
+    line, end = 2, len(lines[0])  # the next chunk's first line number, and where it starts
     gc_was_enabled = gc.isenabled()
     gc.disable()  # every object built below is acyclic; collecting would only rescan them
     try:
-        while not end or end < len(text):  # an empty text is one chunk too: missing header
+        while end < len(text):
             start, end = end, text.find("\n", end + _CHUNK_CHARS - 1) + 1 or len(text)
             lines = text[start:end].splitlines()  # a "\r\n" never straddles two chunks
             first, line = line, line + len(lines)
-            if not start:
-                if not lines or not lines[0].strip():
-                    raise InputError("line 1: missing header")
-                header = tuple(f.strip() for f in lines[0].split(","))
-                if header != CSV_HEADER:
-                    raise InputError(
-                        f"line 1: expected header {','.join(CSV_HEADER)!r}, "
-                        f"got {lines[0].strip()!r}"
-                    )
-                del lines[0]
             rows = list(filter(None, map(str.strip, lines)))  # blank lines skipped
             del lines
             # (row, rule rank, message) of each rule's first failing row; the smallest pair
@@ -202,7 +211,6 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
                     earlier.add(key)
             if failures:
                 row, _, message = min(failures)
-                row += not start  # the first chunk's first nonblank line is the header
                 raise InputError(f"line {_line_number(text[start:end], first, row)}: {message}")
             records.extend(map(tuple.__new__, repeat(Record), zip(*labels, values)))
             if known is None:
@@ -245,16 +253,7 @@ def version_slices(
 def _slices(
     ds: MetricsDataset, package: str, metric: str, versions: Sequence[str], drop_zeros: bool
 ) -> tuple[list[tuple[str, list[float]]], tuple[str, ...]]:
-    groups = ds._groups  # published whole by one assignment; racing threads at worst regroup
-    if groups is None:
-        groups = {}
-        for r in ds.records:
-            try:
-                groups[r.package][r.metric][r.version].append(r)
-            except KeyError:
-                groups.setdefault(r.package, {}).setdefault(r.metric, {})[r.version] = [r]
-        object.__setattr__(ds, "_groups", groups)
-    by_version = groups.get(package, {}).get(metric, {})
+    by_version = ds._groups.get(package, {}).get(metric, {})
     slices, gaps = [], []
     for version in dict.fromkeys(versions):  # a repeated label is served once, at its first place
         values = list(map(_VALUE, sorted(by_version.get(version, ()), key=_ENTITY)))  # stable

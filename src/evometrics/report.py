@@ -108,7 +108,7 @@ def to_json(doc: dict) -> str:
 
 def csv_table(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(format_number(cell) if not isinstance(cell, str) else cell for cell in row) for row in rows)
+    lines.extend(",".join(map(format_number, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -204,6 +204,16 @@ class TestTrendCommand:
         assert code == 2
         assert "alpha" in err
 
+    def test_help_shares_the_series_options_of_inequality(self, capsys):
+        texts = ("JSON manifest declaring version order", "long-format metrics CSV",
+                 "Atkinson aversion parameter (default 0.5)")
+        for command in ("inequality", "trend"):
+            code, out, _ = run_cli([command, "--help"], capsys)
+            assert code == 0
+            shown = " ".join(out.split())  # help lines wrap with the terminal width
+            for text in texts:
+                assert text in shown, (command, text)
+
     def test_csv_format_single_row(self, monotone_inputs, capsys):
         manifest, data = monotone_inputs
         code, out, _ = run_cli(
@@ -526,6 +536,51 @@ class TestExtractCommand:
         assert err.startswith(f"error: cannot append to {out_csv}: {refusal}")
         assert out_csv.read_bytes() == target
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.csv", "f.cc"]
+
+    def test_padded_version_repeating_a_key_is_refused_and_leaves_the_file_unchanged(
+        self, tmp_path, capsys
+    ):
+        src = tmp_path / "f.cc"
+        src.write_text("a = b + c;\n")
+        out_csv = tmp_path / "dataset.csv"
+        argv = ["extract", str(src), "--package", "p", "--output", str(out_csv)]
+        assert run_cli([*argv, "--version", "v1"], capsys)[0] == 0
+        before = out_csv.read_bytes()
+        code, _, err = run_cli([*argv, "--version", " v1"], capsys)
+        assert code == 2
+        assert f"cannot append to {out_csv}: it already holds records for" in err
+        assert out_csv.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.csv", "f.cc"]
+
+    @pytest.mark.parametrize("output", ["dataset.csv", "-"])
+    def test_empty_package_label_is_refused_before_a_byte_is_written(
+        self, tmp_path, capsys, output
+    ):
+        src = tmp_path / "f.cc"
+        src.write_text("a = b + c;\n")
+        target = str(tmp_path / output) if output != "-" else output
+        code, out, err = run_cli(
+            ["extract", str(src), "--version", "v1", "--package", "", "--output", target],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: extracted rows, line 2: empty label field\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.cc"]
+
+    def test_entities_that_strip_to_one_another_are_refused(self, tmp_path, capsys):
+        for name in ("g.cc", "g.cc "):
+            (tmp_path / name).write_text("a = b + c;\n")
+        code, out, err = run_cli(
+            ["extract", str(tmp_path / "g.cc"), str(tmp_path / "g.cc "),
+             "--version", "v1", "--package", "p"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        entity = (tmp_path / "g.cc").as_posix()
+        assert err.startswith(f"error: extracted rows, line 9: duplicate record for ('v1', 'p', "
+                              f"{entity!r}, ")
 
     def test_directory_traversal_sorted(self, tmp_path, capsys):
         tree = tmp_path / "srcs"

@@ -8,7 +8,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -557,6 +557,12 @@ class TestLookup:
             assert MetricsDataset(ds.records, ds.version_order) == ds
             assert replace(ds, version_order=("v1",)) == replace(twin, version_order=("v1",))
             assert version_slices(replace(ds), "p", "m") == version_slices(twin, "p", "m")
+
+    def test_the_grouping_is_not_a_field(self):
+        assert [f.name for f in fields(MetricsDataset)] == ["records", "version_order"]
+        ds = lookup_dataset(10)
+        version_slices(ds, "p", "m")
+        assert list(asdict(ds)) == ["records", "version_order"]
 
     def test_racing_first_lookups_match_sequential_runs(self):
         twin = lookup_dataset(9)
