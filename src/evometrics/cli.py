@@ -394,14 +394,12 @@ def _run_diversity(args) -> int:
 
 def _run_extract(args) -> int:
     body, warnings, failures = cmd_extract(args.paths, args.src_version, args.package)
-    _write_extract_output(body, args.output)
-    for message in warnings:
+    for message in warnings:  # before the write, which a refusal would end
         print(f"warning: {message}", file=sys.stderr)
-    if failures:
-        for message in failures:
-            print(f"error: {message}", file=sys.stderr)
-        return EXIT_INPUT
-    return EXIT_OK
+    for message in failures:
+        print(f"error: {message}", file=sys.stderr)
+    _write_extract_output(body, args.output)
+    return EXIT_INPUT if failures else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,7 @@ import math
 import statistics
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -137,8 +137,8 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
     The body is parsed in chunks of about 2**18 characters, each ending just
     after a line feed. So beyond the text, the records and one key per
     record for the duplicate check, a load's memory is bounded by the chunk,
-    not by the file; a refusal's too, since it numbers its line and finds
-    its duplicate within the failing chunk.
+    not by the file; a refusal's too, since a chunk that fails a column-wise
+    yes/no check is read again, line by line, to find its first failing line.
     """
     known = frozenset(version_order) if version_order is not None else None
     shared: dict[str, str] = {}  # one string object per distinct label
@@ -164,54 +164,28 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
             first, line = line, line + len(lines)
             rows = list(filter(None, map(str.strip, lines)))  # blank lines skipped
             del lines
-            # (row, rule rank, message) of each rule's first failing row; the smallest pair
-            # is the error a line-by-line check would raise first
-            failures: list[tuple[int, int, str]] = []
-            commas = list(map(str.count, rows, repeat(",")))
-            n = len(rows)
-            if commas.count(4) != n:
-                n = next(i for i, count in enumerate(commas) if count != 4)
-                failures.append((n, 0, f"expected 5 comma-separated fields, got {commas[n] + 1}"))
-                del rows[n:]  # the rules below see only the rows before it
+            if list(map(str.count, rows, repeat(","))).count(4) != len(rows):
+                raise _refusal(text[start:end], first, known, records)
             joined = ",".join(rows)
             del rows
-            fields = joined.split(",") if n else []
+            fields = joined.split(",") if joined else []
             del joined
-            columns = [list(map(str.strip, fields[i::5])) for i in range(5)]
+            *labels, value_texts = [list(map(str.strip, fields[i::5])) for i in range(5)]
             del fields
-            labels = [list(map(shared.setdefault, column, column)) for column in columns[:4]]
-            value_texts = columns[4]
-            del columns
+            labels = [list(map(shared.setdefault, column, column)) for column in labels]
             versions = labels[0]
-            if "" in shared:  # only ever from this chunk: an earlier one would have raised
-                first_empty = min(column.index("") for column in labels if "" in column)
-                failures.append((first_empty, 1, "empty label field"))
-            if known is not None and not known.issuperset(versions):
-                i = next(i for i, v in enumerate(versions) if v not in known)
-                failures.append((i, 2, f"unknown version {versions[i]!r} (not in manifest)"))
             try:
                 values = list(map(float, value_texts))
             except ValueError:
-                i = list(map(_parses_as_float, value_texts)).index(False)
-                failures.append((i, 3, f"cannot parse value {value_texts[i]!r}"))
-                values = list(map(float, value_texts[:i]))
-            if not all(map(math.isfinite, values)):
-                i = list(map(math.isfinite, values)).index(False)
-                failures.append((i, 4, f"non-finite value {value_texts[i]!r}"))
+                values = None
             del value_texts
             before = len(seen)
             seen.update(zip(*labels))
-            if len(seen) - before != n:
-                keys = set(zip(*labels))
-                earlier = set(filter(keys.__contains__, map(itemgetter(0, 1, 2, 3), records)))
-                for i, key in enumerate(zip(*labels)):
-                    if key in earlier:
-                        failures.append((i, 5, f"duplicate record for {key!r}"))
-                        break
-                    earlier.add(key)
-            if failures:
-                row, _, message = min(failures)
-                raise InputError(f"line {_line_number(text[start:end], first, row)}: {message}")
+            if ("" in shared  # only ever from this chunk: an earlier one would have raised
+                    or known is not None and not known.issuperset(versions)
+                    or values is None or not all(map(math.isfinite, values))
+                    or len(seen) - before != len(versions)):
+                raise _refusal(text[start:end], first, known, records)
             records.extend(map(tuple.__new__, repeat(Record), zip(*labels, values)))
             if known is None:
                 implied.update(dict.fromkeys(versions))
@@ -222,18 +196,30 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
     return MetricsDataset(records=tuple(records), version_order=order)
 
 
-def _parses_as_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
-def _line_number(chunk: str, first: int, row: int) -> int:
-    """Number of the ``row``-th (from 0) nonblank line of ``chunk``, counting from ``first``."""
-    nonblank = (n for n, line in enumerate(chunk.splitlines(), start=first) if line.strip())
-    return next(islice(nonblank, row, None))
+def _refusal(chunk: str, first: int, known: frozenset | None, records: list) -> InputError:
+    """The refusal of a failing ``chunk``'s first line to break a rule, numbered from ``first``."""
+    rows = [(line, [f.strip() for f in text.split(",")])
+            for line, text in enumerate(chunk.splitlines(), start=first) if text.strip()]
+    keys = {tuple(fields[:4]) for _, fields in rows}
+    # of the earlier chunks' records, only those this chunk may repeat: memory bounded by it
+    seen = set(filter(keys.__contains__, map(itemgetter(0, 1, 2, 3), records)))
+    for line, fields in rows:
+        if len(fields) != 5:
+            return InputError(f"line {line}: expected 5 comma-separated fields, got {len(fields)}")
+        key, value_text = tuple(fields[:4]), fields[4]
+        if not all(key):
+            return InputError(f"line {line}: empty label field")
+        if known is not None and key[0] not in known:
+            return InputError(f"line {line}: unknown version {key[0]!r} (not in manifest)")
+        try:
+            value = float(value_text)
+        except ValueError:
+            return InputError(f"line {line}: cannot parse value {value_text!r}")
+        if not math.isfinite(value):
+            return InputError(f"line {line}: non-finite value {value_text!r}")
+        if key in seen:
+            return InputError(f"line {line}: duplicate record for {key!r}")
+        seen.add(key)
 
 
 def version_slices(
@@ -293,10 +279,23 @@ def _raw(values: list[float], epsilon: float) -> float:
     return values[0]
 
 
+def _mean(values: list[float], epsilon: float) -> float:
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        raise AnalysisError("sum beyond the float range") from None
+
+
+def _median(values: list[float], epsilon: float) -> float:
+    if math.isfinite(median := statistics.median(values)):  # may overflow: (a + b) / 2
+        return median
+    raise AnalysisError("median beyond the float range")
+
+
 # statistic -> f(values, epsilon), for the statistics that are not inequality indices
 _STATISTICS: dict[str, Callable[[list[float], float], float]] = {
-    "mean": lambda values, epsilon: math.fsum(values) / len(values),
-    "median": lambda values, epsilon: statistics.median(values),
+    "mean": _mean,
+    "median": _median,
     "raw": _raw,
 }
 STATISTICS = (*inequality._KERNELS, *_STATISTICS)

@@ -9,6 +9,8 @@ versions that hold no data.
 
 from __future__ import annotations
 
+import math
+
 from .dataset import VersionSeries
 from .errors import AnalysisError
 from .trend import TrendResult
@@ -72,6 +74,8 @@ def render_svg(
         pad = (vmax - vmin) * 0.08
         vmin -= pad
         vmax += pad
+    if not math.isfinite(vmax - vmin):  # every coordinate and tick would come out nan
+        raise AnalysisError("plot range beyond the float range: nothing to plot")
 
     def x_px(idx: int) -> float:
         if count == 1:

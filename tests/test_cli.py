@@ -194,6 +194,37 @@ class TestTrendCommand:
         assert code == 1
         assert "3 points" in err
 
+    @pytest.mark.parametrize("statistic, message", [
+        ("mean", "version 'v1': sum beyond the float range"),
+        ("median", "version 'v1': median beyond the float range"),
+    ])
+    def test_average_beyond_the_float_range_exits_1_naming_the_version(
+        self, tmp_path, capsys, statistic, message
+    ):
+        versions = ["v1", "v2", "v3", "v4"]
+        rows = [f"{v},p,e{j},m,1e308" for v in versions for j in range(2)]
+        manifest, data = write_inputs(tmp_path, versions, rows)
+        code, out, err = run_cli(
+            ["trend", "--manifest", manifest, "--data", data, "--package", "p",
+             "--metric", "m", "--statistic", statistic],
+            capsys,
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_plot_beyond_the_float_range_exits_1_and_writes_no_file(self, tmp_path, capsys):
+        versions = ["v1", "v2", "v3", "v4"]
+        rows = [f"{v},p,e,m,{x}" for v, x in zip(versions, ["-1e308", "1e308", "0", "5"])]
+        manifest, data = write_inputs(tmp_path, versions, rows)
+        plot = tmp_path / "plot.svg"
+        code, out, err = run_cli(
+            ["trend", "--manifest", manifest, "--data", data, "--package", "p",
+             "--metric", "m", "--statistic", "raw", "--plot", str(plot)],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: plot range beyond the float range: nothing to plot\n"
+        assert not plot.exists()
+
     def test_alpha_out_of_range_is_a_usage_error(self, monotone_inputs, capsys):
         manifest, data = monotone_inputs
         code, _, err = run_cli(
@@ -567,6 +598,18 @@ class TestExtractCommand:
         assert out == ""
         assert err == "error: extracted rows, line 2: empty label field\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.cc"]
+
+    def test_per_file_failures_are_reported_when_the_write_is_refused(self, tmp_path, capsys):
+        src = tmp_path / "f.cc"
+        src.write_text("a = b + c;\n")
+        missing = str(tmp_path / "missing.cc")
+        code, out, err = run_cli(
+            ["extract", str(src), missing, "--version", "v1", "--package", ""],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == (f"error: {missing}: not found\n"
+                       "error: extracted rows, line 2: empty label field\n")
 
     def test_entities_that_strip_to_one_another_are_refused(self, tmp_path, capsys):
         for name in ("g.cc", "g.cc "):

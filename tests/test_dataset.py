@@ -250,6 +250,11 @@ FIRST_FAILURES = [
     (["v1,p,e,m,1", "", "v1,p,e,m,1"], "line 4: duplicate record for ('v1', 'p', 'e', 'm')"),
     (["v1,p,e,m,1", "v9,p,e,m,x,1"], "line 3: expected 5 comma-separated fields, got 6"),
     (["v1,p,e,m,1", "v1,p,e,m,1", "v1,p"], "line 3: duplicate record for ('v1', 'p', 'e', 'm')"),
+    # one chunk trips two column checks, each on its own line; the earlier line wins
+    (["v1,p,e,m,1", "v1,p,e,m,inf", "v9,p,f,m,1"], "line 3: non-finite value 'inf'"),
+    (["v1,p,e,m,1", "v9,p,f,m,1", "v1,p,e,m,2"], "line 3: unknown version 'v9' (not in manifest)"),
+    (["v1,p,e,m,1", "v1,,f,m,1", "v1,p,e,m,2"], "line 3: empty label field"),
+    (["v1,p,e,m,1", "v1,p,f,m,x", "v1,p,e,m,inf"], "line 3: cannot parse value 'x'"),
 ]
 
 
@@ -693,6 +698,12 @@ class TestRefusalPrecedence:
          "alpha must lie strictly between 0 and 1"),
         ([1e308, 5e307], 5, "median", 0.5, 0.01, AnalysisError,
          "version 'v0': n times the sum beyond the float range"),
+        ([1e308, 1e308], 5, "mean", 0.5, 0.01, AnalysisError,
+         "version 'v0': sum beyond the float range"),
+        ([1e308, 1e308], 5, "median", 0.5, 0.01, AnalysisError,
+         "version 'v0': median beyond the float range"),
+        ([-1e308, -1e308], 5, "median", 0.5, 0.01, AnalysisError,
+         "version 'v0': median beyond the float range"),
     ])
     def test_same_values_in_every_release(
         self, values, releases, statistic, epsilon, alpha, error, message

@@ -49,6 +49,13 @@ class TestStructure:
         with pytest.raises(AnalysisError, match="empty series"):
             render_svg(series_of([]))
 
+    @pytest.mark.parametrize("values", [[-1e308, 1e308, 0.0, 5.0], [1.7e308, 1.7e308]])
+    def test_range_beyond_the_float_range_refused(self, values):
+        # the padded range overflows to inf, so every coordinate and tick label would be nan
+        with pytest.raises(AnalysisError, match="plot range beyond the float range"):
+            render_svg(series_of([(f"v{i}", v) for i, v in enumerate(values)]))
+        assert "nan" not in render_svg(series_of([("v1", -1e307), ("v2", 1e307)]))
+
 
 class TestAnnotations:
     def test_trend_annotation(self):
