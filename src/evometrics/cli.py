@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 analysis refused (a precondition does not hold),
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import stat
 import sys
@@ -24,9 +25,10 @@ from .dataset import (
     load_manifest,
     per_version,
     run_pipeline,
+    slice_distribution,
     version_slices,
 )
-from .diversity import evenness, gini_simpson, shannon, simpson
+from .diversity import evenness, gini_simpson, richness, shannon, simpson
 from .errors import AnalysisError, InputError
 from .halstead import extract_file
 from .inequality import DEFAULT_EPSILON, inequality_report
@@ -114,7 +116,7 @@ def cmd_trend(
     if plot_path is not None:
         svg = render_svg(result.series, result.trend, result.gaps)
         try:
-            Path(plot_path).write_text(svg, encoding="utf-8")
+            _replace_file(Path(os.path.realpath(plot_path)), svg.encode("utf-8"))
         except OSError as exc:
             raise InputError(f"cannot write {plot_path}: {exc.strerror or exc}") from exc
     if fmt == "csv":
@@ -139,16 +141,17 @@ def cmd_diversity(
     """
     data_text, data_stamp = _read_file(data_path)
     ds = load_csv(data_text)
-    values = dict(version_slices(ds, package, category_metric)[0]).get(version)
-    if values is None:
+    try:
+        values = slice_distribution(ds, version, package, category_metric)
+    except AnalysisError as exc:
         raise AnalysisError(
             f"empty ecosystem: no records for version={version!r} "
             f"package={package!r} metric={category_metric!r}"
-        )
+        ) from exc
     # sorted labels fix the JSON category order; -0.0 + 0.0 is 0.0, so -0 and 0 are one category
-    counts = dict(sorted(Counter(report.format_number(v + 0.0) for v in values).items()))
+    counts = dict(sorted(Counter(str(v + 0.0) for v in values).items()))
     indices = {
-        "richness": len(counts),
+        "richness": richness(counts),
         "total": sum(counts.values()),
         "shannon": shannon(counts),
         "simpson": simpson(counts),
@@ -230,10 +233,7 @@ def cmd_extract(
         except InputError as exc:
             failures.append(str(exc))
     records.sort(key=lambda r: r.entity)
-    body = "".join(
-        f"{r.version},{r.package},{r.entity},{r.metric},{report.format_number(r.value)}\n"
-        for r in records
-    )
+    body = "".join(f"{r.version},{r.package},{r.entity},{r.metric},{r.value}\n" for r in records)
     return body, warnings, failures
 
 
@@ -306,8 +306,8 @@ def _alpha_arg(text: str) -> float:
 
 def _epsilon_arg(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError("epsilon must be positive")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError("epsilon must be positive and finite")
     return value
 
 

@@ -87,7 +87,7 @@ def _theil(x: list[float], total: float) -> float:
 
 
 def _atkinson(x: list[float], total: float, epsilon: float) -> float:
-    if not epsilon > 0.0:
+    if not 0.0 < epsilon < math.inf:
         raise AnalysisError("invalid aversion parameter")
     n = len(x)
     r = map(truediv, x, repeat(total / n))
@@ -99,8 +99,10 @@ def _atkinson(x: list[float], total: float, epsilon: float) -> float:
         return 1.0 - math.exp(math.fsum(map(math.log, r)) / n)
     try:
         m = math.fsum(map(pow, r, repeat(1.0 - epsilon))) / n
-    except OverflowError:  # a term past the float range: the generalized mean is 0
-        return 1.0
+    except OverflowError:  # a term past the float range, so epsilon > 1 and x[0] > 0:
+        # factor out the smallest ratio x[0] / mu, after which no term exceeds 1
+        m = math.fsum(map(pow, map(truediv, x, repeat(x[0])), repeat(1.0 - epsilon))) / n
+        return 1.0 - x[0] / (total / n) * m ** (1.0 / (1.0 - epsilon))
     return 1.0 - m ** (1.0 / (1.0 - epsilon))
 
 
@@ -151,7 +153,7 @@ def theil(values) -> float:
 
 
 def atkinson(values, epsilon: float = DEFAULT_EPSILON) -> float:
-    """Atkinson index with inequality-aversion parameter epsilon > 0.
+    """Atkinson index with a finite inequality-aversion parameter epsilon > 0.
 
     1 minus the ratio of the generalized mean of order 1-epsilon to the
     arithmetic mean; for epsilon = 1 the generalized mean is the geometric

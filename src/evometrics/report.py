@@ -19,19 +19,8 @@ from .inequality import InequalityReport
 from .trend import TrendResult
 
 
-def format_number(value) -> str:
-    """Shortest round-trip decimal for floats, plain digits for ints."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def file_stamp(path: str, data: bytes) -> dict:
     return {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
-
-
-def trend_fields(trend: TrendResult) -> dict:
-    return {f.name: getattr(trend, f.name) for f in dataclasses.fields(trend)}
 
 
 def inequality_rows(versions: list[str], reports: list[InequalityReport]) -> list[dict]:
@@ -65,7 +54,7 @@ def result_entry(
         "statistic": statistic,
         "points": [[v, x] for v, x in points] if points is not None else [],
         "inequality": inequality,
-        "trend": trend_fields(trend) if trend is not None else None,
+        "trend": dataclasses.asdict(trend) if trend is not None else None,
         "gaps": list(gaps),
     }
     if extra:
@@ -108,7 +97,7 @@ def to_json(doc: dict) -> str:
 
 def csv_table(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(map(format_number, row)) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -120,5 +109,5 @@ def inequality_csv(versions: list[str], reports: list[InequalityReport]) -> str:
 
 def trend_csv(series: VersionSeries, trend: TrendResult) -> str:
     fields = {"package": series.package, "metric": series.metric, "statistic": series.statistic,
-              **trend_fields(trend)}
+              **dataclasses.asdict(trend)}
     return csv_table(list(fields), [list(fields.values())])

@@ -10,6 +10,7 @@ versions that hold no data.
 from __future__ import annotations
 
 import math
+import re
 
 from .dataset import VersionSeries
 from .errors import AnalysisError
@@ -27,7 +28,15 @@ GRID_COLOR = "#d9d9d9"
 AXIS_COLOR = "#000000"
 
 
+# the characters XML 1.0's Char production leaves out, which no escape can carry
+_NOT_XML_CHAR = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+
+
 def _escape(text: str) -> str:
+    # each of them is unprintable, so only an unprintable label is searched, and the
+    # pattern is compiled (about 1 ms) in the rare process that meets one
+    if not text.isprintable() and (bad := re.search(_NOT_XML_CHAR, text)):
+        raise AnalysisError(f"cannot plot label {text!r}: XML cannot carry U+{ord(bad[0]):04X}")
     return (
         text.replace("&", "&amp;")
         .replace("<", "&lt;")
@@ -90,10 +99,10 @@ def render_svg(
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
     ]
-    title = f"{series.package} / {series.metric} / {series.statistic}"
+    title = " / ".join(map(_escape, (series.package, series.metric, series.statistic)))
     lines.append(
         f'<text x="{WIDTH / 2:.1f}" y="26" text-anchor="middle" font-size="16" '
-        f'font-family="sans-serif">{_escape(title)}</text>'
+        f'font-family="sans-serif">{title}</text>'
     )
 
     for k in range(5):
@@ -150,10 +159,10 @@ def render_svg(
         )
         footer_y += 14
     if gaps:
-        note = "gaps (no data): " + ", ".join(gaps)
+        note = "gaps (no data): " + ", ".join(map(_escape, gaps))
         lines.append(
             f'<text x="{plot_left}" y="{footer_y}" font-size="11" '
-            f'font-family="sans-serif">{_escape(note)}</text>'
+            f'font-family="sans-serif">{note}</text>'
         )
 
     lines.append("</svg>")

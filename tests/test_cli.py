@@ -97,6 +97,33 @@ class TestInequalityCommand:
         assert code == 2
         assert "nope.csv" in err
 
+    def test_data_file_not_utf8_exits_2_naming_the_path(self, tmp_path, capsys):
+        manifest, data = write_inputs(tmp_path, ["v1"], ["v1,p,e,m,1"])
+        Path(data).write_bytes(HEADER.encode() + b"v1,p,e,m,\xff\n")
+        code, out, err = run_cli(
+            ["inequality", "--manifest", manifest, "--data", data,
+             "--package", "p", "--metric", "m"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot decode {data} as UTF-8: 'utf-8' codec can't decode "
+                       "byte 0xff in position 45: invalid start byte\n")
+
+    @pytest.mark.parametrize("command", ["inequality", "trend"])
+    @pytest.mark.parametrize("epsilon", ["inf", "-inf", "nan", "0"])
+    def test_epsilon_not_positive_and_finite_is_a_usage_error(
+        self, monotone_inputs, capsys, command, epsilon
+    ):
+        # a report at inf would hold "epsilon": Infinity, which is not JSON (RFC 8259)
+        manifest, data = monotone_inputs
+        code, out, err = run_cli(
+            [command, "--manifest", manifest, "--data", data, "--package", "p",
+             "--metric", "m", f"--epsilon={epsilon}"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.endswith(": error: argument --epsilon: epsilon must be positive and finite\n")
+
     def test_empty_selection_exits_1(self, tmp_path, capsys):
         manifest, data = write_inputs(tmp_path, ["v1"], ["v1,p,e,m,1"])
         code, _, err = run_cli(
@@ -295,6 +322,72 @@ class TestTrendCommand:
         )
         assert code == 2
         assert "cannot write" in err
+
+    def test_plot_through_a_symlink_replaces_its_target_keeping_its_bits(
+        self, monotone_inputs, tmp_path, capsys
+    ):
+        manifest, data = monotone_inputs
+        target, link = tmp_path / "plot.svg", tmp_path / "link.svg"
+        target.write_text("an older, longer plot " * 1000)
+        target.chmod(0o640)
+        link.symlink_to(target.name)
+        argv = ["trend", "--manifest", manifest, "--data", data, "--package", "p",
+                "--metric", "m"]
+        assert run_cli([*argv, "--plot", str(link)], capsys)[0] == 0
+        assert run_cli([*argv, "--plot", str(tmp_path / "plain.svg")], capsys)[0] == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == (tmp_path / "plain.svg").read_bytes()
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    def test_failed_plot_write_leaves_the_old_plot(self, monotone_inputs, tmp_path, capsys,
+                                                   monkeypatch):
+        manifest, data = monotone_inputs
+        plot = tmp_path / "plot.svg"
+        plot.write_text("old plot")
+
+        def no_space(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", no_space)
+        code, out, err = run_cli(
+            ["trend", "--manifest", manifest, "--data", data, "--package", "p",
+             "--metric", "m", "--plot", str(plot)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {plot}: No space left on device\n"
+        assert plot.read_text() == "old plot"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "manifest.json",
+                                                              "plot.svg"]
+
+    def test_plot_to_a_directory_exits_2(self, monotone_inputs, tmp_path, capsys):
+        manifest, data = monotone_inputs
+        folder = tmp_path / "plots"
+        folder.mkdir()
+        code, out, err = run_cli(
+            ["trend", "--manifest", manifest, "--data", data, "--package", "p",
+             "--metric", "m", "--plot", str(folder)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {folder}: Is a directory\n"
+        assert list(folder.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "manifest.json",
+                                                              "plots"]
+
+    def test_plot_label_xml_cannot_carry_exits_1_and_writes_no_file(self, tmp_path, capsys):
+        versions = ["v1", "v2", "v3", "v\x01"]
+        rows = [f"{v},p,e,m,{x}" for x, v in enumerate(versions)]
+        manifest, data = write_inputs(tmp_path, versions, rows)
+        plot = tmp_path / "plot.svg"
+        code, out, err = run_cli(
+            ["trend", "--manifest", manifest, "--data", data, "--package", "p",
+             "--metric", "m", "--statistic", "raw", "--plot", str(plot)],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: cannot plot label 'v\\x01': XML cannot carry U+0001\n"
+        assert not plot.exists()
 
     def test_gap_versions_annotated_in_plot(self, tmp_path, capsys):
         versions = [f"v{i}" for i in range(1, 8)]
@@ -722,6 +815,33 @@ class TestExtractCommand:
         assert code == 2
         assert "missing.cc" in err
         assert len(out.strip().splitlines()) == 8
+
+    @pytest.mark.parametrize("name, content, message", [
+        ("a,b.cc", b"a = b;\n", "path contains a comma"),
+        ("latin1.cc", b"a = '\xe9';\n",
+         "'utf-8' codec can't decode byte 0xe9 in position 5: invalid continuation byte"),
+        ("open.cc", b"a = b;\n/* never closed\n", "line 2: unterminated block comment"),
+    ])
+    def test_failing_file_exits_2_after_processing_others(self, tmp_path, capsys, name,
+                                                          content, message):
+        (tmp_path / "ok.cc").write_text("a = b;\n")
+        (tmp_path / name).write_bytes(content)
+        code, out, err = run_cli(["extract", str(tmp_path), "--version", "v1", "--package", "p"],
+                                 capsys)
+        assert code == 2
+        assert err == f"error: {(tmp_path / name).as_posix()}: {message}\n"
+        assert out == run_cli(["extract", str(tmp_path / "ok.cc"), "--version", "v1",
+                               "--package", "p"], capsys)[1]
+
+    @pytest.mark.parametrize("label", ["version", "package"])
+    def test_label_with_a_comma_exits_2(self, tmp_path, capsys, label):
+        src = tmp_path / "f.cc"
+        src.write_text("a = b;\n")
+        labels = {"version": "v1", "package": "p", label: "x,y"}
+        code, out, err = run_cli(["extract", str(src), "--version", labels["version"],
+                                  "--package", labels["package"]], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {label} label contains a comma: 'x,y'\n"
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         src = tmp_path / "f.cc"

@@ -1,6 +1,7 @@
 """Unit, oracle, and property tests for the inequality indices."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -96,7 +97,7 @@ class TestErrors:
         with pytest.raises(AnalysisError, match="non-finite"):
             gini([1.0, float("nan")])
 
-    @pytest.mark.parametrize("epsilon", [0.0, -0.5])
+    @pytest.mark.parametrize("epsilon", [0.0, -0.5, math.inf, math.nan])
     def test_invalid_aversion(self, epsilon):
         with pytest.raises(AnalysisError, match="invalid aversion parameter"):
             atkinson([1, 2, 3], epsilon)
@@ -289,6 +290,16 @@ def ulps_from(value, exact):
     return float(abs(Fraction(value) - exact)) / math.ulp(float(exact))
 
 
+def decimal_atkinson(values, epsilon):
+    """The Atkinson index to 60 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = [Decimal(float(v)) for v in values]
+        mu = sum(x) / len(x)
+        m = sum((v / mu) ** (1 - Decimal(epsilon)) for v in x) / len(x)
+        return 1 - m ** (1 / (1 - Decimal(epsilon)))
+
+
 def exact_gini_and_pietra(values):
     x = sorted(Fraction(float(v)) for v in values)
     n, total = len(x), sum(x)
@@ -343,8 +354,19 @@ class TestCorrectlyRoundedSums:
         assert atkinson([1e308, 5e307]) == atkinson([2.0, 1.0])
 
     def test_atkinson_with_terms_past_the_float_range_is_one(self):
-        # (1e-10 / mu) ** (1 - 40) overflows; the generalized mean of order -39 is 0
-        assert atkinson([1e-10, 1.0, 1.0], 40.0) == 1.0
+        # (1e-10 / mu) ** (1 - 40) overflows, but the generalized mean of order -39 is not 0:
+        # the index is 1 - 1.54e-10, not 1
+        assert atkinson([1e-10, 1.0, 1.0], 40.0) == float(decimal_atkinson([1e-10, 1.0, 1.0], 40))
+
+    # a term overflows at these aversions (at 1000 none of [1, 3] does: 0.49965)
+    @pytest.mark.parametrize("values, epsilon, ulps", [([1.0, 3.0], 1100, 1.0),
+                                                       ([0.01, 1.0], 200, 0.0)])
+    def test_atkinson_past_the_float_range_factors_out_the_smallest_ratio(
+        self, values, epsilon, ulps
+    ):
+        # the factored form rounds pow's result before the last step, so it may land an ulp away
+        exact = float(decimal_atkinson(values, epsilon))
+        assert abs(atkinson(values, epsilon) - exact) <= ulps * math.ulp(exact)
 
 
 # The generator-expression kernels the map-based ones replaced, kept as the reference:

@@ -45,6 +45,26 @@ class TestStructure:
         ET.fromstring(svg)
         assert "a&lt;b&amp;c" in svg
 
+    # XML 1.0 has no escape for these characters, so a document holding one is not well-formed;
+    # a lone surrogate can come from a manifest's JSON, and UTF-8 cannot encode it either
+    @pytest.mark.parametrize("bad", ["\x01", "\x08", "\x0e", "\x1f", "\ud800", "\ufffe",
+                                     "\uffff"])
+    @pytest.mark.parametrize("where", ["version", "package", "gap"])
+    def test_label_xml_cannot_carry_is_refused_naming_it(self, where, bad):
+        label = f"a{bad}b"
+        series = series_of([(label if where == "version" else "v1", 1.0), ("v2", 2.0)],
+                           package=label if where == "package" else "pkg")
+        gaps = (label,) if where == "gap" else ()
+        message = f"cannot plot label {label!r}: XML cannot carry U+{ord(bad):04X}"
+        with pytest.raises(AnalysisError, match=f"^{re.escape(message)}$"):
+            render_svg(series, gaps=gaps)
+
+    def test_label_characters_xml_allows_render(self):
+        label = "tab\there \u00e9\ud7ff\ue000\ufffd\U0001f600"
+        svg = render_svg(series_of([(label, 1.0), ("v2", 2.0)], package=label), gaps=(label,))
+        ET.fromstring(svg)
+        assert svg.count(label) == 3
+
     def test_empty_series_refused(self):
         with pytest.raises(AnalysisError, match="empty series"):
             render_svg(series_of([]))

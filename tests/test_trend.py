@@ -108,6 +108,10 @@ class TestExactDistribution:
             counted[s] = counted.get(s, 0) + 1
         assert exact_s_distribution(n) == counted
 
+    def test_n_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            exact_s_distribution(0)
+
     def test_total_mass_and_symmetry(self):
         for n in range(2, 11):
             dist = exact_s_distribution(n)
@@ -174,6 +178,11 @@ class TestMkTest:
     def test_too_short(self):
         with pytest.raises(AnalysisError, match="series too short"):
             mk_test([1.0], alpha=0.05)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value(self, bad):
+        with pytest.raises(AnalysisError, match="^non-finite value$"):
+            mk_test([1.0, bad])
 
     def test_decision_matches_pvalues(self):
         rng = np.random.default_rng(5)
