@@ -116,7 +116,7 @@ def cmd_trend(
     if plot_path is not None:
         svg = render_svg(result.series, result.trend, result.gaps)
         try:
-            _replace_file(Path(os.path.realpath(plot_path)), svg.encode("utf-8"))
+            _replace_file(plot_path, svg.encode("utf-8"))
         except OSError as exc:
             raise InputError(f"cannot write {plot_path}: {exc.strerror or exc}") from exc
     if fmt == "csv":
@@ -141,13 +141,11 @@ def cmd_diversity(
     """
     data_text, data_stamp = _read_file(data_path)
     ds = load_csv(data_text)
-    try:
+    try:  # refused as an empty ecosystem, in this command's words
         values = slice_distribution(ds, version, package, category_metric)
     except AnalysisError as exc:
-        raise AnalysisError(
-            f"empty ecosystem: no records for version={version!r} "
-            f"package={package!r} metric={category_metric!r}"
-        ) from exc
+        raise AnalysisError(f"empty ecosystem: no records for version={version!r} "
+                            f"package={package!r} metric={category_metric!r}") from exc
     # sorted labels fix the JSON category order; -0.0 + 0.0 is 0.0, so -0 and 0 are one category
     counts = dict(sorted(Counter(str(v + 0.0) for v in values).items()))
     indices = {
@@ -246,9 +244,9 @@ def _write_extract_output(body: str, output: str) -> None:
     if output == "-":
         sys.stdout.write(text)
         return
-    path = Path(os.path.realpath(output))  # through a symlink, replace its target
+    path = Path(output)
     try:
-        old = path.read_bytes() if path.exists() else b""
+        old = path.read_bytes() if path.is_file() else b""  # a device or FIFO is written, not read
         if old:  # append to an existing dataset, which must load as one
             try:
                 records = load_csv(old.decode("utf-8")).records
@@ -267,31 +265,38 @@ def _write_extract_output(body: str, output: str) -> None:
             data = old + body.encode("utf-8")
         else:
             data = text.encode("utf-8")
-        _replace_file(path, data)
+        _replace_file(output, data)
     except OSError as exc:
         raise InputError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
-def _replace_file(path: Path, data: bytes) -> None:
+def _replace_file(path: str, data: bytes) -> None:
     """Write ``data`` to a temporary file beside ``path``, then rename it over ``path``.
 
-    A failure at any point leaves ``path`` as it was. The result keeps the
+    A failure at any point leaves a regular file as it was. The result keeps the
     permission bits of the file it replaces, or gets those a plain create would.
+    Through a symlink, its target is replaced. A target that exists but is not a
+    regular file (a device, a FIFO, a directory) is opened and written in place.
     """
-    if path.exists():
-        mode = stat.S_IMODE(path.stat().st_mode)
-    else:
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
-        mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        mode = stat.S_IFREG | (0o666 & ~umask)
+    if not stat.S_ISREG(mode):
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return
+    target = Path(os.path.realpath(path))
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
-        os.chmod(tmp, mode)
-        os.replace(tmp, path)
+        os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise

@@ -8,6 +8,7 @@ import random
 import stat
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -33,6 +34,24 @@ def write_inputs(tmp_path, versions, rows, name="data"):
     data = tmp_path / f"{name}.csv"
     data.write_text(HEADER + "".join(f"{r}\n" for r in rows))
     return str(manifest), str(data)
+
+
+def read_fifo(tmp_path):
+    """A FIFO in ``tmp_path``, its reader thread and the list the thread appends its read to."""
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    return fifo, reader, received
+
+
+def forbid_replace(monkeypatch):
+    # a device or FIFO must never be renamed over, which would also guard /dev/null
+    def replace(src, dst):
+        raise AssertionError(f"{src} renamed over {dst}")
+
+    monkeypatch.setattr(os, "replace", replace)
 
 
 @pytest.fixture
@@ -374,6 +393,25 @@ class TestTrendCommand:
         assert list(folder.iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "manifest.json",
                                                               "plots"]
+
+    def test_plot_to_a_device_or_a_fifo_is_written_in_place(self, monotone_inputs, tmp_path,
+                                                            capsys, monkeypatch):
+        manifest, data = monotone_inputs
+        argv = ["trend", "--manifest", manifest, "--data", data, "--package", "p",
+                "--metric", "m"]
+        plain = tmp_path / "plain.svg"
+        code, out, _ = run_cli([*argv, "--plot", str(plain)], capsys)
+        assert code == 0
+        fifo, reader, received = read_fifo(tmp_path)
+        forbid_replace(monkeypatch)
+        assert run_cli([*argv, "--plot", os.devnull], capsys) == (0, out, "")
+        assert run_cli([*argv, "--plot", str(fifo)], capsys) == (0, out, "")
+        reader.join(timeout=10)
+        assert received == [plain.read_bytes()]
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "manifest.json",
+                                                              "out.fifo", "plain.svg"]
 
     def test_plot_label_xml_cannot_carry_exits_1_and_writes_no_file(self, tmp_path, capsys):
         versions = ["v1", "v2", "v3", "v\x01"]
@@ -911,6 +949,23 @@ class TestExtractCommand:
             assert run_cli([*argv, "--version", version], capsys)[0] == 0
         assert link.is_symlink()
         assert len(load_csv(target.read_text(), ["v1", "v2"]).records) == 14
+
+    def test_output_to_a_device_or_a_fifo_is_written_in_place(self, tmp_path, capsys,
+                                                              monkeypatch):
+        src = tmp_path / "f.cc"
+        src.write_text("a = b + c;\n")
+        argv = ["extract", str(src), "--version", "v1", "--package", "p", "--output"]
+        code, rows, _ = run_cli([*argv, "-"], capsys)
+        assert code == 0
+        fifo, reader, received = read_fifo(tmp_path)
+        forbid_replace(monkeypatch)
+        assert run_cli([*argv, os.devnull], capsys) == (0, "", "")
+        assert run_cli([*argv, str(fifo)], capsys) == (0, "", "")
+        reader.join(timeout=10)
+        assert received == [rows.encode("utf-8")]
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.cc", "out.fifo"]
 
     def test_extract_feeds_the_trend_pipeline(self, tmp_path, capsys):
         # grow the file each "release" so mean volume rises strictly

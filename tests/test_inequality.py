@@ -353,7 +353,7 @@ class TestCorrectlyRoundedSums:
         assert theil([1e308, 5e307]) == theil([2.0, 1.0])
         assert atkinson([1e308, 5e307]) == atkinson([2.0, 1.0])
 
-    def test_atkinson_with_terms_past_the_float_range_is_one(self):
+    def test_atkinson_with_terms_past_the_float_range_uses_the_factored_form(self):
         # (1e-10 / mu) ** (1 - 40) overflows, but the generalized mean of order -39 is not 0:
         # the index is 1 - 1.54e-10, not 1
         assert atkinson([1e-10, 1.0, 1.0], 40.0) == float(decimal_atkinson([1e-10, 1.0, 1.0], 40))
