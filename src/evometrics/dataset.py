@@ -17,7 +17,7 @@ import statistics
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import inequality
@@ -95,7 +95,8 @@ def load_manifest(text: str) -> tuple[str, ...]:
     """Parse the version-order manifest: a JSON object {"versions": [...]}.
 
     The list gives the analysis order; labels must be unique and the list
-    nonempty.
+    nonempty, and each must be a label a CSV row can carry: nonempty, with
+    no surrounding whitespace, comma or line boundary.
     """
     try:
         doc = json.loads(text)
@@ -112,6 +113,8 @@ def load_manifest(text: str) -> tuple[str, ...]:
     for v in versions:
         if v in seen:
             raise InputError(f"malformed manifest: duplicate version {v!r}")
+        if v.strip() != v or "," in v or v.splitlines() != [v]:  # "".splitlines() is []
+            raise InputError(f"malformed manifest: version {v!r} cannot be a CSV label")
         seen.add(v)
     return tuple(versions)
 
@@ -298,33 +301,24 @@ _STATISTICS: dict[str, Callable[[list[float], float], float]] = {
     "median": _median,
     "raw": _raw,
 }
-STATISTICS = (*inequality._KERNELS, *_STATISTICS)
-
-
-def _index_point(values: list[float], statistic: str, epsilon: float) -> tuple[float, tuple]:
-    """An index of one slice by its private kernel, and the validated pair its report reuses."""
-    x, total = inequality._validate(values)
-    return inequality._KERNELS[statistic](x, total, epsilon), (x, total)
+_INDICES = ("gini", "pietra", "theil", "atkinson")  # InequalityReport fields a series may read
+STATISTICS = (*_INDICES, *_STATISTICS)
 
 
 def _series(
     slices: list[tuple[str, list[float]]], package: str, metric: str, statistic: str, epsilon: float
-) -> tuple[VersionSeries, list[tuple[float, tuple | None]]]:
-    """The series, and each point with its slice's validated pair (None unless an index)."""
-    if statistic in inequality._KERNELS:
-        measured = list(per_version(_index_point, slices, statistic, epsilon))
+) -> tuple[VersionSeries, tuple[InequalityReport, ...] | None]:
+    """The series, and for an index the reports its points are read from (else None)."""
+    if statistic in _INDICES:
+        reports = tuple(per_version(inequality.inequality_report, slices, epsilon))
+        measured = map(attrgetter(statistic), reports)
     elif statistic in _STATISTICS:
-        measured = [(x, None) for x in per_version(_STATISTICS[statistic], slices, epsilon)]
+        reports, measured = None, per_version(_STATISTICS[statistic], slices, epsilon)
     else:
         raise ValueError(f"unknown statistic {statistic!r}")
-    points = tuple((version, x) for (version, _), (x, _) in zip(slices, measured))
+    points = tuple(zip(map(itemgetter(0), slices), measured))
     series = VersionSeries(package=package, metric=metric, statistic=statistic, points=points)
-    return series, measured
-
-
-def _report(measured: tuple[float, tuple], statistic: str, epsilon: float) -> InequalityReport:
-    point, (x, total) = measured
-    return inequality._report(x, total, epsilon, **{statistic: point})
+    return series, reports
 
 
 def build_series(
@@ -361,18 +355,18 @@ def run_pipeline(
 
     Refuses series shorter than 4 points after gap removal; a monotonic
     trend on fewer points is not worth testing. The series and the
-    per-version inequality reports come from the same slices.
+    per-version inequality reports come from the same slices: an index
+    point is read from its release's report. Refusals come release by
+    release (an index's on all four indices), then a short series, then a
+    bad alpha, then for ``mean`` and ``median`` the inequality reports.
     """
     slices, gaps = version_slices(ds, package, metric, drop_zeros)
-    series, measured = _series(slices, package, metric, statistic, epsilon)
+    series, reports = _series(slices, package, metric, statistic, epsilon)
     if len(series.points) < 4:
         raise AnalysisError(
             f"series too short for trend: {len(series.points)} points (need at least 4)"
         )
     trend = mk_test(series.values(), alpha=alpha)
-    reports: tuple[InequalityReport, ...] | None = None
-    if statistic in inequality._KERNELS:  # after the trend, whose refusals come first
-        reports = tuple(per_version(_report, zip(series.versions(), measured), statistic, epsilon))
-    elif statistic != "raw":
+    if reports is None and statistic != "raw":  # mean and median: after the trend
         reports = tuple(per_version(inequality.inequality_report, slices, epsilon))
     return PipelineResult(series=series, inequality_per_version=reports, trend=trend, gaps=gaps)

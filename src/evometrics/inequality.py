@@ -13,7 +13,8 @@ on every index.
 
 Numerics: the values are sorted once, and every sum is ``math.fsum``, which
 rounds the exact sum of its terms once. So an index gives the same bits for
-any order of its input, on any CPU and with any thread count.
+any order of its input, on any CPU and with any thread count. Theil and
+Atkinson read one list of log ratios ln(x/mu), and Atkinson stays in that log domain.
 """
 
 from __future__ import annotations
@@ -79,48 +80,38 @@ def _pietra(x: list[float], total: float) -> float:
     return math.fsum(map(abs, map(sub, x, repeat(mu)))) / (2.0 * n * mu)
 
 
-def _theil(x: list[float], total: float) -> float:
-    n = len(x)
-    # zeros, and ratios that underflow to 0 (each term below 4e-321), left out: 0 ln 0 = 0
-    r = list(filter(None, map(truediv, x, repeat(total / n))))
-    return math.fsum(map(mul, r, map(math.log, r))) / n
+def _log_ratios(x: list[float], total: float) -> tuple[list[float], list[float], int]:
+    """The positive values' ratios x_i / mu, ascending, their logs, and the number of zeros."""
+    mu = total / len(x)
+    zeros = bisect_right(x, 0.0)
+    r = list(map(truediv, x[zeros:], repeat(mu)))
+    lost = bisect_right(r, 0.0)  # ratios that underflow to 0 still have a log
+    logs = [math.log(v) - math.log(mu) for v in x[zeros:zeros + lost]]
+    logs += map(math.log, r[lost:])
+    return r, logs, zeros
 
 
-def _atkinson(x: list[float], total: float, epsilon: float) -> float:
+def _theil(r: list[float], logs: list[float], zeros: int) -> float:
+    # zeros left out, 0 ln 0 = 0, and so are ratios that underflow to 0 (each term -0.0)
+    return math.fsum(map(mul, r, logs)) / (len(r) + zeros)
+
+
+def _atkinson(logs: list[float], zeros: int, epsilon: float) -> float:
     if not 0.0 < epsilon < math.inf:
         raise AnalysisError("invalid aversion parameter")
-    n = len(x)
-    r = map(truediv, x, repeat(total / n))
-    if epsilon >= 1.0 and x[0] == 0.0:
+    n = len(logs) + zeros
+    if epsilon >= 1.0 and zeros:
         return 1.0
-    if x[bisect_right(x, 0.0)] / (total / n) == 0.0:  # a lost term, or no power or log of 0
-        raise AnalysisError("ratio of a positive value to the mean below the float range")
-    if epsilon == 1.0:
-        return 1.0 - math.exp(math.fsum(map(math.log, r)) / n)
-    try:
-        m = math.fsum(map(pow, r, repeat(1.0 - epsilon))) / n
-    except OverflowError:  # a term past the float range, so epsilon > 1 and x[0] > 0:
-        # factor out the smallest ratio x[0] / mu, after which no term exceeds 1
-        m = math.fsum(map(pow, map(truediv, x, repeat(x[0])), repeat(1.0 - epsilon))) / n
-        return 1.0 - x[0] / (total / n) * m ** (1.0 / (1.0 - epsilon))
-    return 1.0 - m ** (1.0 / (1.0 - epsilon))
-
-
-# index -> kernel(x, total, epsilon), in the order a report runs them and so refuses
-_KERNELS = {
-    "gini": lambda x, total, epsilon: _gini(x, total),
-    "pietra": lambda x, total, epsilon: _pietra(x, total),
-    "theil": lambda x, total, epsilon: _theil(x, total),
-    "atkinson": _atkinson,
-}
-
-
-def _report(x: list[float], total: float, epsilon: float, **known: float) -> InequalityReport:
-    """The report of a validated pair; the indices in ``known`` are not computed again."""
-    for name, kernel in _KERNELS.items():
-        if name not in known:
-            known[name] = kernel(x, total, epsilon)
-    return InequalityReport(**known, epsilon=epsilon, n=len(x))
+    d = 1.0 - epsilon
+    if d == 0.0:
+        log_mean = math.fsum(logs) / n  # the geometric mean
+    else:  # below aversion 1 no ratio exceeds n, so no term needs a shift; above it, the
+        # smallest ratio's term is the largest, shifted inside the product: d l_i may overflow
+        top = logs[0] if d < 0.0 else 0.0
+        terms = map(math.expm1, map(mul, map(sub, logs, repeat(top)), repeat(d)))
+        log_mean = top + math.log1p((math.fsum(terms) - zeros) / n) / d
+    # 1 - M / mu; max turns an equal slice's -0.0, or a rounding below 0, into 0.0
+    return max(0.0, -math.expm1(log_mean))
 
 
 def gini(values) -> float:
@@ -149,19 +140,21 @@ def theil(values) -> float:
     Zero-valued entries contribute nothing (0*ln(0) = 0), nor do values
     whose ratio to the mean underflows to 0.
     """
-    return _theil(*_validate(values))
+    return _theil(*_log_ratios(*_validate(values)))
 
 
 def atkinson(values, epsilon: float = DEFAULT_EPSILON) -> float:
     """Atkinson index with a finite inequality-aversion parameter epsilon > 0.
 
-    1 minus the ratio of the generalized mean of order 1-epsilon to the
-    arithmetic mean; for epsilon = 1 the generalized mean is the geometric
-    mean. Ranges over [0, 1]; any zero value forces 1 when epsilon >= 1.
-    Otherwise a positive value whose ratio to the mean underflows to 0 is
-    refused: its term would be lost, or have no power or log.
+    1 - M/mu, M the generalized mean of order d = 1-epsilon, in one log-domain
+    form over l_i = ln(x_i/mu): ln(M/mu) = top + log1p(mean expm1(d (l_i - top))) / d,
+    where top is 0 if d > 0 and the smallest l_i if d < 0, and mean l_i at
+    epsilon = 1 (the geometric mean). So it is continuous through 1 and no term
+    leaves the float range. Ranges over [0, 1]; any zero value forces 1 when
+    epsilon >= 1.
     """
-    return _atkinson(*_validate(values), epsilon)
+    _, logs, zeros = _log_ratios(*_validate(values))
+    return _atkinson(logs, zeros, epsilon)
 
 
 def lorenz_points(values) -> list[tuple[float, float]]:
@@ -180,5 +173,8 @@ def lorenz_points(values) -> list[tuple[float, float]]:
 
 
 def inequality_report(values, epsilon: float = DEFAULT_EPSILON) -> InequalityReport:
-    """All four indices of one distribution, validated and sorted once."""
-    return _report(*_validate(values), epsilon)
+    """All four indices of one distribution, validated and sorted once, refused in field order."""
+    x, total = _validate(values)
+    r, logs, zeros = _log_ratios(x, total)
+    return InequalityReport(_gini(x, total), _pietra(x, total), _theil(r, logs, zeros),
+                            _atkinson(logs, zeros, epsilon), epsilon, len(x))

@@ -1,6 +1,7 @@
 """Unit, oracle, and property tests for the inequality indices."""
 
 import math
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -112,20 +113,19 @@ class TestUnderflowingRatios:
         assert theil([0.0, 5e-324, 1e300]) == theil([0.0, 0.0, 1e300])
 
     @pytest.mark.parametrize("epsilon", [1e-9, 0.5, 0.99, 1.0, 2.0, 3.5])
-    def test_atkinson_refuses_at_any_aversion(self, epsilon):
-        # at 0.99 the lost term made atkinson([5e-324] + [1e300] * 99) 0.63027036235; the
-        # exact value is 0.63027014398. At 1 and above, the log or power of 0 raised.
+    def test_atkinson_takes_the_log_of_an_underflowing_ratio(self, epsilon):
+        # its log ratio is ln x - ln mu; dropping its term as 0 would move the index from the
+        # 7th digit on (0.63027036235 for [5e-324] + [1e300] * 99 at 0.99, not 0.63027014398)
         for values in ([5e-324, 1e300], [5e-324] + [1e300] * 99, [1e-300, 1e300]):
-            with pytest.raises(AnalysisError, match="ratio of a positive value to the mean"):
-                atkinson(values, epsilon)
-        with pytest.raises(AnalysisError, match="ratio of a positive value to the mean"):
-            inequality_report([5e-324, 1e300], epsilon)
+            assert close_to_oracle(atkinson(values, epsilon), decimal_atkinson(values, epsilon))
+        report = inequality_report([5e-324, 1e300], epsilon)
+        assert report.atkinson == atkinson([5e-324, 1e300], epsilon)
 
     def test_a_zero_still_forces_atkinson_to_one_from_aversion_one(self):
         assert atkinson([0.0, 5e-324, 1e300], 1.0) == 1.0
         assert atkinson([0.0, 5e-324, 1e300], 2.0) == 1.0
-        with pytest.raises(AnalysisError, match="ratio of a positive value to the mean"):
-            atkinson([0.0, 5e-324, 1e300], 0.5)
+        # below aversion 1 the zero adds a term of 0; the index is 2/3 to about 300 digits
+        assert abs(atkinson([0.0, 5e-324, 1e300], 0.5) - 2 / 3) <= math.ulp(2 / 3)
 
 
 class TestConventions:
@@ -286,16 +286,21 @@ class TestReport:
 
 
 def ulps_from(value, exact):
-    """Distance of a float from an exact rational, in units of the exact value's last place."""
-    return float(abs(Fraction(value) - exact)) / math.ulp(float(exact))
+    """Distance of a float from an exact rational or decimal, in units of the exact value's last
+    place."""
+    return float(abs(Fraction(value) - Fraction(exact))) / math.ulp(float(exact))
 
 
 def decimal_atkinson(values, epsilon):
-    """The Atkinson index to 60 significant digits."""
+    """The Atkinson index to 60 significant digits (over 40 at epsilon = 1 +- 2**-52)."""
     with localcontext() as ctx:
         ctx.prec = 60
         x = [Decimal(float(v)) for v in values]
         mu = sum(x) / len(x)
+        if epsilon == 1:  # the geometric mean; a zero's log is -Infinity, so the index is 1
+            return 1 - (sum((v / mu).ln() for v in x) / len(x)).exp()
+        if epsilon > 1 and 0 in x:  # a mean of negative order over a zero is 0
+            return Decimal(1)
         m = sum((v / mu) ** (1 - Decimal(epsilon)) for v in x) / len(x)
         return 1 - m ** (1 / (1 - Decimal(epsilon)))
 
@@ -353,24 +358,22 @@ class TestCorrectlyRoundedSums:
         assert theil([1e308, 5e307]) == theil([2.0, 1.0])
         assert atkinson([1e308, 5e307]) == atkinson([2.0, 1.0])
 
-    def test_atkinson_with_terms_past_the_float_range_uses_the_factored_form(self):
+    def test_atkinson_whose_power_would_pass_the_float_range_is_not_one(self):
         # (1e-10 / mu) ** (1 - 40) overflows, but the generalized mean of order -39 is not 0:
         # the index is 1 - 1.54e-10, not 1
         assert atkinson([1e-10, 1.0, 1.0], 40.0) == float(decimal_atkinson([1e-10, 1.0, 1.0], 40))
 
-    # a term overflows at these aversions (at 1000 none of [1, 3] does: 0.49965)
-    @pytest.mark.parametrize("values, epsilon, ulps", [([1.0, 3.0], 1100, 1.0),
-                                                       ([0.01, 1.0], 200, 0.0)])
-    def test_atkinson_past_the_float_range_factors_out_the_smallest_ratio(
-        self, values, epsilon, ulps
+    # (x/mu) ** (1 - epsilon) overflows at these aversions (at 1000 none of [1, 3] does: 0.49965)
+    @pytest.mark.parametrize("values, epsilon", [([1.0, 3.0], 1100), ([0.01, 1.0], 200)])
+    def test_atkinson_at_an_aversion_whose_powers_overflow_lands_on_the_oracle(
+        self, values, epsilon
     ):
-        # the factored form rounds pow's result before the last step, so it may land an ulp away
-        exact = float(decimal_atkinson(values, epsilon))
-        assert abs(atkinson(values, epsilon) - exact) <= ulps * math.ulp(exact)
+        assert atkinson(values, epsilon) == float(decimal_atkinson(values, epsilon))
 
 
 # The generator-expression kernels the map-based ones replaced, kept as the reference:
-# every index must keep their bits and their refusals.
+# gini, pietra and theil must keep their bits and their refusals. Atkinson is held to
+# decimal_atkinson instead.
 def reference_validate(values):
     x = [float(v) for v in values]
     if not x:
@@ -410,28 +413,25 @@ def reference_theil(x, total):
     return math.fsum(v / mu * math.log(v / mu) for v in x if v / mu > 0.0) / n
 
 
-def reference_atkinson(x, total, epsilon):
-    if not epsilon > 0.0:
+def reference_atkinson_refusal(values, epsilon):
+    """Raises what atkinson refuses: an invalid input, then an invalid aversion."""
+    reference_validate(values)
+    if not 0.0 < epsilon < math.inf:
         raise AnalysisError("invalid aversion parameter")
-    n = len(x)
-    mu = total / n
-    if epsilon >= 1.0 and x[0] == 0.0:
-        return 1.0
-    if any(v / mu == 0.0 for v in x if v > 0.0):
-        raise AnalysisError("ratio of a positive value to the mean below the float range")
-    if epsilon == 1.0:
-        return 1.0 - math.exp(math.fsum(math.log(v / mu) for v in x) / n)
-    try:
-        m = math.fsum((v / mu) ** (1.0 - epsilon) for v in x) / n
-    except OverflowError:
-        return 1.0
-    return 1.0 - m ** (1.0 / (1.0 - epsilon))
 
 
 def reference_report(values, epsilon):
+    """A report's fields but atkinson, or its refusal."""
     x, total = reference_validate(values)
-    return (reference_gini(x, total), reference_pietra(x, total), reference_theil(x, total),
-            reference_atkinson(x, total, epsilon), epsilon, len(x))
+    fields = reference_gini(x, total), reference_pietra(x, total), reference_theil(x, total)
+    reference_atkinson_refusal(values, epsilon)
+    return (*fields, epsilon, len(x))
+
+
+def report_but_atkinson(values, epsilon):
+    report = inequality_report(values, epsilon)
+    assert report.atkinson == atkinson(values, epsilon)
+    return report.gini, report.pietra, report.theil, report.epsilon, report.n
 
 
 def outcome(func, *args):
@@ -465,6 +465,16 @@ def kernel_inputs(seed, cases):
         yield rng.permutation(x).tolist()
 
 
+def close_to_oracle(value, exact):
+    # 1 - M/mu cancels where the index is small (about epsilon times a log variance at a
+    # small aversion), so the bound has an absolute part
+    return math.isclose(value, float(exact), rel_tol=1e-12, abs_tol=2e-15)
+
+
+def subnormal_mean(x):
+    return 0.0 < math.fsum(x) / len(x) < sys.float_info.min
+
+
 class TestKernelBits:
     @pytest.mark.parametrize("seed", range(4))
     def test_indices_and_report_match_the_reference_kernels(self, seed):
@@ -473,8 +483,49 @@ class TestKernelBits:
             for func, kernel in pairs:
                 assert outcome(func, x) == outcome(lambda v: kernel(*reference_validate(v)), x), x
             for epsilon in (1e-9, 0.5, 1.0, 2.0, 3.5, 0.0):
-                assert outcome(atkinson, x, epsilon) == outcome(
-                    lambda v: reference_atkinson(*reference_validate(v), epsilon), x
-                ), (epsilon, x)
-                got = outcome(lambda v: tuple(vars(inequality_report(v, epsilon)).values()), x)
+                got = outcome(report_but_atkinson, x, epsilon)
                 assert got == outcome(reference_report, x, epsilon), (epsilon, x)
+                refusal = outcome(reference_atkinson_refusal, x, epsilon)
+                if refusal != "None":
+                    assert outcome(atkinson, x, epsilon) == refusal, (epsilon, x)
+                    continue
+                value = atkinson(x, epsilon)
+                assert 0.0 <= value <= 1.0 and math.copysign(1.0, value) == 1.0, (epsilon, x)
+                # the 60-digit oracle costs about 0.1 ms a power, so it checks the short inputs;
+                # a subnormal mean is itself rounded (test_a_subnormal_mean_is_rounded)
+                if len(x) <= 7 and not subnormal_mean(x):
+                    assert close_to_oracle(value, decimal_atkinson(x, epsilon)), (epsilon, x)
+
+
+class TestAtkinsonOracle:
+    @pytest.mark.parametrize("epsilon", [0.1, 0.5, 0.999, 1.0, 1.001, 2.0, 3.5, 10.0, 60.0])
+    def test_relative_error_on_lognormal_inputs(self, epsilon):
+        rng = np.random.default_rng(1600)
+        for _ in range(40):
+            x = rng.lognormal(0.0, float(rng.uniform(0.1, 2.0)), int(rng.integers(2, 31)))
+            exact = decimal_atkinson(x, epsilon)
+            assert abs(Decimal(atkinson(x, epsilon)) - exact) <= Decimal("1e-10") * exact
+
+    # the form 1 - m ** (1 / (1 - epsilon)) magnifies the rounding of m by 1 / (1 - epsilon):
+    # 0.0 at 1 +- 2**-52 and 0.216690 at 1 + 1e-12, where the index is 0.216698...
+    @pytest.mark.parametrize("epsilon", [1 + 2**-52, 1 - 2**-52, 1 - 2**-53, 1 + 1e-12])
+    def test_continuous_through_aversion_one(self, epsilon):
+        x = [1, 3, 7, 2]
+        assert ulps_from(atkinson(x, epsilon), decimal_atkinson(x, epsilon)) <= 2
+
+    def test_the_largest_finite_aversion_gives_one_minus_min_over_mean(self):
+        # (1 - epsilon) ln(x/mu) overflows at 1e308; shifted inside the product, no term does
+        assert atkinson([1, 3], 1e308) == 0.5
+        assert atkinson([1, 3, 7, 2], 1e308) == 1 - 1 / 3.25
+
+    @pytest.mark.parametrize("epsilon", [1e-9, 0.5, 1.0, 2.0, 1e308])
+    def test_an_equal_slice_scores_positive_zero(self, epsilon):
+        for x in ([7.5], [2, 2, 2]):
+            value = atkinson(x, epsilon)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    @pytest.mark.xfail(strict=True, reason="the float mean of [0, 5e-324, 5e-324] rounds to 5e-324")
+    def test_a_subnormal_mean_is_rounded(self):
+        # mu = 1e-323 / 3 rounds from 3.3e-324 up to 5e-324, so every ratio is 1 and the index
+        # comes out 5/9 where it is 1/3; theil and pietra read the same rounded mean
+        assert atkinson([0.0, 5e-324, 5e-324], 0.5) == pytest.approx(1 / 3)
