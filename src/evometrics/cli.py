@@ -8,19 +8,27 @@ Exit codes: 0 success, 1 analysis refused (a precondition does not hold),
 from __future__ import annotations
 
 import argparse
+import gc
+import hashlib
+import json
+import marshal
 import math
 import os
 import stat
 import sys
 import tempfile
+from array import array
 from collections import Counter
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
-from . import __version__, report
+from . import __version__, dataset, report
 from .dataset import (
     CSV_HEADER,
     STATISTICS,
     MetricsDataset,
+    Record,
     load_csv,
     load_manifest,
     per_version,
@@ -60,7 +68,77 @@ def _load_inputs(manifest_path: str, data_path: str) -> tuple[MetricsDataset, di
     data_text, data_stamp = _read_file(data_path)
     inputs = {"manifest": manifest_stamp, "data": data_stamp}
     version_order = load_manifest(manifest_text)
-    return load_csv(data_text, version_order), inputs
+    return _load_dataset(data_text, data_stamp["sha256"], version_order), inputs
+
+
+_CACHE_FORMAT = "evometrics-dataset-1"  # names the entry layout below; change it with the layout
+_CACHE_ENTRIES = 8  # datasets kept; the oldest written beyond them are deleted
+_LABELS = range(4)  # a Record's label columns: version, package, entity, metric; then its value
+
+
+def _cache_entry(data_sha256: str, version_order: tuple[str, ...] | None) -> Path:
+    """The cache file of ``load_csv`` over the data with this sha256 against this manifest.
+
+    The key also covers the interpreter and byte order, whose formats the entry
+    is in, and the bytes of ``dataset.py``, whose rules the parse applied. Raises
+    OSError where there is no cache directory to be had.
+    """
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):  # unset, empty or relative: the XDG default
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+        if not os.path.isabs(root):  # "~" left as it is: no home directory
+            raise FileNotFoundError("no home directory")
+    folder = Path(root, "evometrics")
+    folder.mkdir(mode=0o700, parents=True, exist_ok=True)
+    parser = hashlib.sha256(Path(dataset.__file__).read_bytes()).hexdigest()
+    key = [_CACHE_FORMAT, sys.version, sys.byteorder, parser, version_order, data_sha256]
+    return folder / f"{hashlib.sha256(json.dumps(key).encode()).hexdigest()}.dataset"
+
+
+def _load_dataset(text: str, data_sha256: str,
+                  version_order: tuple[str, ...] | None = None) -> MetricsDataset:
+    """``load_csv(text, version_order)``, read back from the user's cache when it holds it.
+
+    An entry is the sha256 of its payload, then the payload: the version order, the
+    four label columns and the values as packed doubles, marshalled, so equal labels
+    come back as one string object and every value with its bits. An entry that
+    cannot be read or checked is a miss. A miss runs ``load_csv``, and only a
+    dataset it accepted is stored. A cache that cannot be written is not used.
+    """
+    try:
+        entry = _cache_entry(data_sha256, version_order)
+    except OSError:
+        return load_csv(text, version_order)
+    try:
+        blob = entry.read_bytes()
+        payload = memoryview(blob)[32:]
+        if hashlib.sha256(payload).digest() == blob[:32]:
+            order, labels, packed = marshal.loads(payload)
+            values = array("d", packed).tolist()
+            if len(labels) == len(_LABELS) and all(len(c) == len(values) for c in labels):
+                gc_was_enabled = gc.isenabled()
+                gc.disable()  # as in load_csv: the records are acyclic, collecting only rescans
+                try:
+                    records = tuple(map(tuple.__new__, repeat(Record), zip(*labels, values)))
+                finally:
+                    if gc_was_enabled:
+                        gc.enable()
+                return MetricsDataset(records=records, version_order=order)
+    except (OSError, EOFError, ValueError, TypeError):
+        pass
+    ds = load_csv(text, version_order)
+    labels = [list(map(itemgetter(i), ds.records)) for i in _LABELS]
+    packed = array("d", map(itemgetter(4), ds.records))  # marshalled as its bytes
+    payload = marshal.dumps((ds.version_order, labels, packed), 4)
+    del labels, packed  # before the entry is copied out of the payload, to bound the peak
+    try:
+        _replace_file(str(entry), hashlib.sha256(payload).digest() + payload)
+        entries = sorted(entry.parent.glob("*.dataset"), key=lambda p: p.stat().st_mtime)
+        for old in entries[:-_CACHE_ENTRIES]:
+            old.unlink(missing_ok=True)
+    except OSError:
+        pass
+    return ds
 
 
 def cmd_inequality(
@@ -140,7 +218,7 @@ def cmd_diversity(
     this is a single-version analysis.
     """
     data_text, data_stamp = _read_file(data_path)
-    ds = load_csv(data_text)
+    ds = _load_dataset(data_text, data_stamp["sha256"])
     try:  # refused as an empty ecosystem, in this command's words
         values = slice_distribution(ds, version, package, category_metric)
     except AnalysisError as exc:

@@ -20,6 +20,7 @@ Atkinson read one list of log ratios ln(x/mu), and Atkinson stays in that log do
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
@@ -28,6 +29,9 @@ from operator import mul, sub, truediv
 from .errors import AnalysisError
 
 DEFAULT_EPSILON = 0.5
+# a power of two: multiplying by it is exact, and it lifts any subnormal mean into the normal
+# range while no value of such a slice (each at most n times the mean) can overflow
+_SUBNORMAL_SCALE = 2.0**600
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,9 @@ def _validate(values) -> tuple[list[float], float]:
         raise AnalysisError("sum beyond the float range") from None
     if total / len(x) <= 0.0:
         raise AnalysisError("degenerate mean")
+    if total / len(x) < sys.float_info.min:  # a subnormal mean is rounded: scale up, exactly
+        x = [v * _SUBNORMAL_SCALE for v in x]
+        total *= _SUBNORMAL_SCALE
     return x, total
 
 

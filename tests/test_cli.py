@@ -3,19 +3,21 @@
 import errno
 import hashlib
 import json
+import marshal
 import math
 import os
 import random
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from evometrics import gini, load_csv, load_manifest, pietra, run_pipeline
+from evometrics import cli, dataset, gini, load_csv, load_manifest, pietra, run_pipeline
 from evometrics.cli import main
 
 HEADER = "version,package,entity,metric,value\n"
@@ -1006,6 +1008,235 @@ class TestExtractCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["results"][0]["trend"]["decision"] == "upward"
+
+
+def cache_rows():
+    """Two packages over six releases: a metric with zeros and a categorical one."""
+    versions = [f"v{i}" for i in range(1, 7)]
+    rows = []
+    for k, version in enumerate(versions):
+        for j in range(5):
+            rows.append(f"{version},p,e{j},m,{max(0, j - k % 3)}")
+            rows.append(f"{version},q,e{j},m,{j + k}")
+            rows.append(f"{version},p,e{j},kind,{j % 2}")
+    return versions, rows
+
+
+def entries(cache):
+    return sorted((cache / "evometrics").glob("*.dataset"))
+
+
+@pytest.fixture
+def count_loads(monkeypatch):
+    """The number of load_csv calls the CLI has made, as a one-element list."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return load_csv(*args)
+
+    monkeypatch.setattr(cli, "load_csv", counting)
+    return calls
+
+
+class TestDatasetCache:
+    COMMANDS = {
+        "trend-json-plot": ["trend", "--package", "p", "--metric", "m", "--plot"],
+        "trend-csv-drop-zeros-plot": ["trend", "--package", "p", "--metric", "m",
+                                      "--statistic", "theil", "--format", "csv", "--drop-zeros",
+                                      "--plot"],
+        "trend-mean": ["trend", "--package", "q", "--metric", "m", "--statistic", "mean"],
+        "inequality-json-drop-zeros": ["inequality", "--package", "p", "--metric", "m",
+                                       "--drop-zeros"],
+        "inequality-csv": ["inequality", "--package", "q", "--metric", "m", "--format", "csv"],
+        "diversity-json": ["diversity", "--version", "v6", "--package", "p",
+                           "--category-metric", "kind"],
+        "diversity-csv": ["diversity", "--version", "v2", "--package", "p",
+                          "--category-metric", "kind", "--format", "csv"],
+    }
+
+    def argv(self, name, manifest, data, plot):
+        command, *rest = self.COMMANDS[name]
+        if rest[-1] == "--plot":
+            rest.append(str(plot))
+        if command != "diversity":
+            rest += ["--manifest", manifest]
+        return [command, "--data", data, *rest]
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_a_hit_writes_what_a_miss_writes(self, tmp_path, capsys, dataset_cache,
+                                             count_loads, name):
+        manifest, data = write_inputs(tmp_path, *cache_rows())
+        outputs = []
+        for expected_loads in (1, 1):  # a miss, then a hit that does not parse the file
+            plot = tmp_path / f"run{len(outputs)}.svg"
+            code, out, err = run_cli(self.argv(name, manifest, data, plot), capsys)
+            assert (code, err, count_loads[0]) == (0, "", expected_loads)
+            outputs.append((out, plot.read_bytes() if plot.exists() else None))
+            assert len(entries(dataset_cache)) == 1
+        assert outputs[0] == outputs[1]
+        assert (outputs[0][1] is None) == ("--plot" not in self.COMMANDS[name])
+
+    def test_a_hit_equals_the_load_and_shares_its_labels(self, tmp_path, count_loads):
+        _, data = write_inputs(tmp_path, *cache_rows())
+        order = ("v6", "v5", "v4", "v3", "v2", "v1")
+        text, stamp = cli._read_file(data)
+        for expected_loads in (1, 1):
+            ds = cli._load_dataset(text, stamp["sha256"], order)
+            assert count_loads[0] == expected_loads
+        assert ds == load_csv(text, order)
+        for column in range(4):  # equal labels are one string object, as load_csv makes them
+            labels = [record[column] for record in ds.records]
+            assert len(set(map(id, labels))) == len(set(labels))
+
+    def test_an_edited_data_byte_is_a_miss(self, tmp_path, capsys, dataset_cache, count_loads):
+        versions, rows = cache_rows()
+        manifest, data = write_inputs(tmp_path, versions, rows)
+        argv = ["inequality", "--manifest", manifest, "--data", data, "--package", "q",
+                "--metric", "m", "--format", "csv"]
+        before = run_cli(argv, capsys)
+        text = Path(data).read_text()
+        Path(data).write_text(text.replace("v1,q,e0,m,0\n", "v1,q,e0,m,9\n"))
+        after = run_cli(argv, capsys)
+        assert count_loads[0] == 2
+        assert after[0] == 0 and after[1] != before[1]
+        assert after == run_cli(argv, capsys)  # from the new entry
+        Path(data).write_text(text.replace("v1,q,e0,m,0\n", "v1,q,e0,m,x\n"))
+        line = text.splitlines().index("v1,q,e0,m,0") + 1
+        assert run_cli(argv, capsys) == (2, "", f"error: line {line}: cannot parse value 'x'\n")
+        assert len(entries(dataset_cache)) == 2  # nothing refused is stored
+
+    def test_a_changed_manifest_is_a_miss(self, tmp_path, capsys, count_loads):
+        versions, rows = cache_rows()
+        manifest, data = write_inputs(tmp_path, versions, rows)
+        argv = ["trend", "--manifest", manifest, "--data", data, "--package", "q",
+                "--metric", "m"]
+        assert run_cli(argv, capsys)[0] == 0
+        Path(manifest).write_text(json.dumps({"versions": versions[:-1]}))
+        line = rows.index(next(row for row in rows if row.startswith("v6,"))) + 2
+        assert run_cli(argv, capsys) == (
+            2, "", f"error: line {line}: unknown version 'v6' (not in manifest)\n")
+        assert count_loads[0] == 2
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "empty", "garbage", "flipped", "one-label-column-short",
+        "three-label-columns", "not-a-triple", "values-not-doubles",
+    ])
+    def test_a_damaged_entry_is_a_miss_and_is_rewritten(self, tmp_path, capsys, dataset_cache,
+                                                        count_loads, damage):
+        manifest, data = write_inputs(tmp_path, *cache_rows())
+        argv = ["trend", "--manifest", manifest, "--data", data, "--package", "p",
+                "--metric", "m", "--statistic", "atkinson"]
+        first = run_cli(argv, capsys)
+        assert first[0] == 0
+        [entry] = entries(dataset_cache)
+        good = entry.read_bytes()
+        order, labels, packed = marshal.loads(good[32:])
+        payload = {
+            "one-label-column-short": (order, [labels[0][1:], *labels[1:]], packed),
+            "three-label-columns": (order, labels[:3], packed),
+            "not-a-triple": (order, labels),
+            "values-not-doubles": (order, labels, packed[:-1]),
+        }.get(damage)
+        if payload is not None:  # well formed, with a checksum that holds, but the wrong shape
+            blob = marshal.dumps(payload, 4)
+            entry.write_bytes(hashlib.sha256(blob).digest() + blob)
+        else:
+            entry.write_bytes({"truncated": good[: len(good) // 2], "empty": b"",
+                               "garbage": b"\x00garbage" * 9,
+                               "flipped": good[:-1] + bytes([good[-1] ^ 1])}[damage])
+        assert run_cli(argv, capsys) == first
+        assert count_loads[0] == 2
+        assert entries(dataset_cache) == [entry] and entry.read_bytes() == good
+
+    @pytest.mark.parametrize("where", ["a regular file", "a read-only directory"])
+    def test_an_unusable_cache_location_is_not_used(self, tmp_path, capsys, monkeypatch,
+                                                    count_loads, where):
+        manifest, data = write_inputs(tmp_path, *cache_rows())
+        argv = ["trend", "--manifest", manifest, "--data", data, "--package", "p",
+                "--metric", "m", "--format", "csv"]
+        expected = run_cli(argv, capsys)
+        assert expected[0] == 0 and expected[2] == ""
+        location = tmp_path / "cache"
+        if where == "a regular file":
+            location.write_text("not a directory\n")
+        else:
+            location.mkdir(mode=0o555)
+            if os.geteuid() == 0:  # root creates through the mode bits; refuse as they would
+                real_mkdir = os.mkdir
+
+                def mkdir(path, *args, **kwargs):
+                    if Path(path).parent == location:
+                        raise PermissionError(errno.EACCES, "Permission denied", str(path))
+                    return real_mkdir(path, *args, **kwargs)
+
+                monkeypatch.setattr(os, "mkdir", mkdir)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(location))
+        for _ in range(2):
+            assert run_cli(argv, capsys) == expected
+        assert count_loads[0] == 3
+        if where == "a regular file":
+            assert location.read_text() == "not a directory\n"
+        else:
+            assert list(location.iterdir()) == []
+
+    def test_an_unwritable_cache_folder_still_serves_its_entries(self, tmp_path, capsys,
+                                                                   dataset_cache, monkeypatch,
+                                                                   count_loads):
+        manifest, data = write_inputs(tmp_path, *cache_rows())
+        argv = ["inequality", "--manifest", manifest, "--data", data, "--package", "p",
+                "--metric", "m"]
+        expected = run_cli(argv, capsys)
+        assert expected[0] == 0
+
+        def no_space(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(tempfile, "mkstemp", no_space)
+        assert run_cli(argv, capsys) == expected  # a hit writes nothing
+        Path(data).write_text(Path(data).read_text() + "v1,r,e0,m,1\n")
+        assert run_cli(argv, capsys)[0] == 0  # a miss whose entry cannot be written
+        assert count_loads[0] == 2
+        assert len(entries(dataset_cache)) == 1
+
+    def test_the_cache_folder_is_private_and_keeps_the_newest_eight(self, tmp_path, capsys,
+                                                                    dataset_cache):
+        folder = dataset_cache / "evometrics"
+        others = [folder / "notes.txt", folder / ".left.dataset.x1y2.tmp", folder / "x.datasets"]
+        versions, rows = cache_rows()
+        kept = []
+        for i in range(11):
+            manifest, data = write_inputs(tmp_path, versions, rows + [f"v1,r,e{i},m,1"])
+            assert run_cli(["inequality", "--manifest", manifest, "--data", data,
+                            "--package", "p", "--metric", "m"], capsys)[0] == 0
+            if i == 0:
+                assert stat.S_IMODE(folder.stat().st_mode) == 0o700
+                for other in others:
+                    other.write_text("not an entry\n")
+            [new] = set(entries(dataset_cache)) - set(kept)
+            os.utime(new, (1000 + i, 1000 + i))  # written in this order, whatever the clock
+            kept = (kept + [new])[-8:]
+            assert entries(dataset_cache) == sorted(kept)
+        assert all(other.read_text() == "not an entry\n" for other in others)
+
+    @pytest.mark.parametrize("change", ["parser", "interpreter"])
+    def test_a_changed_parser_or_interpreter_is_a_miss(self, tmp_path, capsys, monkeypatch,
+                                                       count_loads, change):
+        manifest, data = write_inputs(tmp_path, *cache_rows())
+        argv = ["trend", "--manifest", manifest, "--data", data, "--package", "q",
+                "--metric", "m"]
+        expected = run_cli(argv, capsys)
+        assert expected[0] == 0
+        if change == "parser":
+            source = Path(dataset.__file__)
+            edited = tmp_path / "dataset.py"
+            edited.write_bytes(source.read_bytes() + b"# one more byte\n")
+            monkeypatch.setattr(dataset, "__file__", str(edited))
+        else:
+            monkeypatch.setattr(sys, "version", sys.version + " (another build)")
+        assert run_cli(argv, capsys) == expected
+        assert run_cli(argv, capsys) == expected
+        assert count_loads[0] == 2
 
 
 class TestCommandFunctions:

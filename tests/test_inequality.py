@@ -471,8 +471,17 @@ def close_to_oracle(value, exact):
     return math.isclose(value, float(exact), rel_tol=1e-12, abs_tol=2e-15)
 
 
-def subnormal_mean(x):
-    return 0.0 < math.fsum(x) / len(x) < sys.float_info.min
+def as_scored(x):
+    """``x``, or where its mean is subnormal ``x`` times 2**600, as the indices score it.
+
+    The product is exact and every index is scale-free, so the reference kernels, which
+    divide by the float mean, score the scaled slice without the mean's rounding.
+    """
+    try:
+        subnormal = 0.0 < math.fsum(x) / len(x) < sys.float_info.min
+    except (ArithmeticError, ValueError):  # empty, or a sum the reference refuses
+        return x
+    return [v * 2.0**600 for v in x] if subnormal else x
 
 
 class TestKernelBits:
@@ -481,19 +490,19 @@ class TestKernelBits:
         pairs = [(gini, reference_gini), (pietra, reference_pietra), (theil, reference_theil)]
         for x in kernel_inputs(seed, 400):
             for func, kernel in pairs:
-                assert outcome(func, x) == outcome(lambda v: kernel(*reference_validate(v)), x), x
+                expected = outcome(lambda v: kernel(*reference_validate(v)), as_scored(x))
+                assert outcome(func, x) == expected, x
             for epsilon in (1e-9, 0.5, 1.0, 2.0, 3.5, 0.0):
                 got = outcome(report_but_atkinson, x, epsilon)
-                assert got == outcome(reference_report, x, epsilon), (epsilon, x)
+                assert got == outcome(reference_report, as_scored(x), epsilon), (epsilon, x)
                 refusal = outcome(reference_atkinson_refusal, x, epsilon)
                 if refusal != "None":
                     assert outcome(atkinson, x, epsilon) == refusal, (epsilon, x)
                     continue
                 value = atkinson(x, epsilon)
                 assert 0.0 <= value <= 1.0 and math.copysign(1.0, value) == 1.0, (epsilon, x)
-                # the 60-digit oracle costs about 0.1 ms a power, so it checks the short inputs;
-                # a subnormal mean is itself rounded (test_a_subnormal_mean_is_rounded)
-                if len(x) <= 7 and not subnormal_mean(x):
+                # the 60-digit oracle costs about 0.1 ms a power, so it checks the short inputs
+                if len(x) <= 7:
                     assert close_to_oracle(value, decimal_atkinson(x, epsilon)), (epsilon, x)
 
 
@@ -524,8 +533,12 @@ class TestAtkinsonOracle:
             value = atkinson(x, epsilon)
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
-    @pytest.mark.xfail(strict=True, reason="the float mean of [0, 5e-324, 5e-324] rounds to 5e-324")
-    def test_a_subnormal_mean_is_rounded(self):
-        # mu = 1e-323 / 3 rounds from 3.3e-324 up to 5e-324, so every ratio is 1 and the index
-        # comes out 5/9 where it is 1/3; theil and pietra read the same rounded mean
-        assert atkinson([0.0, 5e-324, 5e-324], 0.5) == pytest.approx(1 / 3)
+    def test_a_subnormal_mean_is_not_rounded(self):
+        # the float mean 1e-323 / 3 would round from 3.3e-324 up to 5e-324, making every ratio
+        # 1: pietra 1/6, theil 0 and atkinson 5/9 where they are 1/3, ln 1.5 and 1/3
+        x = [0.0, 5e-324, 5e-324]
+        report = inequality_report(x, 0.5)
+        assert ulps_from(report.pietra, Fraction(1, 3)) <= 1
+        assert ulps_from(report.theil, Decimal("1.5").ln()) <= 1
+        assert ulps_from(report.atkinson, Fraction(1, 3)) <= 1
+        assert report.gini == 1 / 3  # as before: gini divides by n times the sum, not by the mean
