@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 analysis refused (a precondition does not hold),
 from __future__ import annotations
 
 import argparse
-import gc
 import hashlib
 import json
 import marshal
@@ -17,10 +16,7 @@ import os
 import stat
 import sys
 import tempfile
-from array import array
 from collections import Counter
-from itertools import repeat
-from operator import itemgetter
 from pathlib import Path
 
 from . import __version__, dataset, report
@@ -28,7 +24,6 @@ from .dataset import (
     CSV_HEADER,
     STATISTICS,
     MetricsDataset,
-    Record,
     load_csv,
     load_manifest,
     per_version,
@@ -71,9 +66,9 @@ def _load_inputs(manifest_path: str, data_path: str) -> tuple[MetricsDataset, di
     return _load_dataset(data_text, data_stamp["sha256"], version_order), inputs
 
 
-_CACHE_FORMAT = "evometrics-dataset-1"  # names the entry layout below; change it with the layout
+# names the framing _load_dataset gives an entry; dataset.py's bytes, in the key, cover the rest
+_CACHE_FORMAT = "evometrics-dataset-1"
 _CACHE_ENTRIES = 8  # datasets kept; the oldest written beyond them are deleted
-_LABELS = range(4)  # a Record's label columns: version, package, entity, metric; then its value
 
 
 def _cache_entry(data_sha256: str, version_order: tuple[str, ...] | None) -> Path:
@@ -81,7 +76,8 @@ def _cache_entry(data_sha256: str, version_order: tuple[str, ...] | None) -> Pat
 
     The key also covers the interpreter and byte order, whose formats the entry
     is in, and the bytes of ``dataset.py``, whose rules the parse applied. Raises
-    OSError where there is no cache directory to be had.
+    OSError where there is no cache directory to be had, or where its directory is
+    not the user's own and closed to everyone else: an entry there may not be ours.
     """
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):  # unset, empty or relative: the XDG default
@@ -90,6 +86,10 @@ def _cache_entry(data_sha256: str, version_order: tuple[str, ...] | None) -> Pat
             raise FileNotFoundError("no home directory")
     folder = Path(root, "evometrics")
     folder.mkdir(mode=0o700, parents=True, exist_ok=True)
+    info = folder.stat()
+    owner = os.geteuid() if hasattr(os, "geteuid") else None  # no owners to check: no cache
+    if info.st_uid != owner or info.st_mode & 0o077:
+        raise PermissionError(f"{folder} is not private to its user")
     parser = hashlib.sha256(Path(dataset.__file__).read_bytes()).hexdigest()
     key = [_CACHE_FORMAT, sys.version, sys.byteorder, parser, version_order, data_sha256]
     return folder / f"{hashlib.sha256(json.dumps(key).encode()).hexdigest()}.dataset"
@@ -99,11 +99,10 @@ def _load_dataset(text: str, data_sha256: str,
                   version_order: tuple[str, ...] | None = None) -> MetricsDataset:
     """``load_csv(text, version_order)``, read back from the user's cache when it holds it.
 
-    An entry is the sha256 of its payload, then the payload: the version order, the
-    four label columns and the values as packed doubles, marshalled, so equal labels
-    come back as one string object and every value with its bits. An entry that
-    cannot be read or checked is a miss. A miss runs ``load_csv``, and only a
-    dataset it accepted is stored. A cache that cannot be written is not used.
+    An entry is the sha256 of its payload, then the marshalled columns of
+    ``dataset._columns``. An entry that cannot be read or checked is a miss. A
+    miss runs ``load_csv``, and only a dataset it accepted is stored. A cache that
+    cannot be written is not used.
     """
     try:
         entry = _cache_entry(data_sha256, version_order)
@@ -113,24 +112,11 @@ def _load_dataset(text: str, data_sha256: str,
         blob = entry.read_bytes()
         payload = memoryview(blob)[32:]
         if hashlib.sha256(payload).digest() == blob[:32]:
-            order, labels, packed = marshal.loads(payload)
-            values = array("d", packed).tolist()
-            if len(labels) == len(_LABELS) and all(len(c) == len(values) for c in labels):
-                gc_was_enabled = gc.isenabled()
-                gc.disable()  # as in load_csv: the records are acyclic, collecting only rescans
-                try:
-                    records = tuple(map(tuple.__new__, repeat(Record), zip(*labels, values)))
-                finally:
-                    if gc_was_enabled:
-                        gc.enable()
-                return MetricsDataset(records=records, version_order=order)
+            return dataset._from_columns(*marshal.loads(payload))
     except (OSError, EOFError, ValueError, TypeError):
         pass
     ds = load_csv(text, version_order)
-    labels = [list(map(itemgetter(i), ds.records)) for i in _LABELS]
-    packed = array("d", map(itemgetter(4), ds.records))  # marshalled as its bytes
-    payload = marshal.dumps((ds.version_order, labels, packed), 4)
-    del labels, packed  # before the entry is copied out of the payload, to bound the peak
+    payload = marshal.dumps(dataset._columns(ds), 4)  # the columns are freed before the copy
     try:
         _replace_file(str(entry), hashlib.sha256(payload).digest() + payload)
         entries = sorted(entry.parent.glob("*.dataset"), key=lambda p: p.stat().st_mtime)

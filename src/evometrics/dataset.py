@@ -14,6 +14,8 @@ import gc
 import json
 import math
 import statistics
+from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -158,9 +160,7 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
             f"line 1: expected header {','.join(CSV_HEADER)!r}, got {lines[0].strip()!r}"
         )
     line, end = 2, len(lines[0])  # the next chunk's first line number, and where it starts
-    gc_was_enabled = gc.isenabled()
-    gc.disable()  # every object built below is acyclic; collecting would only rescan them
-    try:
+    with _acyclic():  # every object built below is acyclic; collecting would only rescan them
         while end < len(text):
             start, end = end, text.find("\n", end + _CHUNK_CHARS - 1) + 1 or len(text)
             lines = text[start:end].splitlines()  # a "\r\n" never straddles two chunks
@@ -189,14 +189,50 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
                     or values is None or not all(map(math.isfinite, values))
                     or len(seen) - before != len(versions)):
                 raise _refusal(text[start:end], first, known, records)
-            records.extend(map(tuple.__new__, repeat(Record), zip(*labels, values)))
+            records.extend(_records(labels, values))
             if known is None:
                 implied.update(dict.fromkeys(versions))
+    order = tuple(version_order) if version_order is not None else tuple(implied)
+    return MetricsDataset(records=tuple(records), version_order=order)
+
+
+@contextmanager
+def _acyclic():
+    """The cyclic GC paused while records are built: they are acyclic, it would only rescan."""
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
     finally:
         if gc_was_enabled:
             gc.enable()
-    order = tuple(version_order) if version_order is not None else tuple(implied)
-    return MetricsDataset(records=tuple(records), version_order=order)
+
+
+def _records(labels: list[list[str]], values: list[float]) -> Iterator[Record]:
+    """The records of four label columns and a value column, row by row."""
+    return map(tuple.__new__, repeat(Record), zip(*labels, values))
+
+
+def _columns(ds: MetricsDataset) -> tuple:
+    """``ds`` as plain data for ``marshal``: its version order, its four label columns and
+    its values packed as doubles, so each label is written once and each value with its bits.
+    """
+    labels = [list(map(itemgetter(i), ds.records)) for i in range(4)]
+    return ds.version_order, labels, array("d", map(_VALUE, ds.records))
+
+
+def _from_columns(order: tuple[str, ...], labels: list[list[str]],
+                  packed: bytes) -> MetricsDataset:
+    """The dataset ``_columns`` took apart, its equal labels still one string object.
+
+    Raises ValueError on columns that do not make whole records.
+    """
+    values = array("d", packed).tolist()
+    if len(labels) != 4 or any(len(column) != len(values) for column in labels):
+        raise ValueError("label and value columns of unequal length")
+    with _acyclic():
+        records = tuple(_records(labels, values))
+    return MetricsDataset(records=records, version_order=order)
 
 
 def _refusal(chunk: str, first: int, known: frozenset | None, records: list) -> InputError:

@@ -60,9 +60,9 @@ def _validate(values) -> tuple[list[float], float]:
         total = math.fsum(x)
     except OverflowError:
         raise AnalysisError("sum beyond the float range") from None
-    if total / len(x) <= 0.0:
+    if total <= 0.0:
         raise AnalysisError("degenerate mean")
-    if total / len(x) < sys.float_info.min:  # a subnormal mean is rounded: scale up, exactly
+    if total / len(x) < sys.float_info.min:  # a subnormal mean, or 0 if rounded: scale up, exactly
         x = [v * _SUBNORMAL_SCALE for v in x]
         total *= _SUBNORMAL_SCALE
     return x, total

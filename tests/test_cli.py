@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -1198,6 +1199,30 @@ class TestDatasetCache:
         assert run_cli(argv, capsys)[0] == 0  # a miss whose entry cannot be written
         assert count_loads[0] == 2
         assert len(entries(dataset_cache)) == 1
+
+    @pytest.mark.parametrize("folder", ["private", "open to others", "another user's"])
+    def test_entries_are_read_only_from_a_private_folder(self, tmp_path, capsys, dataset_cache,
+                                                         monkeypatch, count_loads, folder):
+        manifest, data = write_inputs(tmp_path, *cache_rows())
+        argv = ["inequality", "--manifest", manifest, "--data", data, "--package", "q",
+                "--metric", "m", "--format", "csv"]
+        parsed = run_cli(argv, capsys)
+        [entry] = entries(dataset_cache)
+        order, labels, packed = marshal.loads(entry.read_bytes()[32:])
+        payload = marshal.dumps((order, labels, array("d", [v + 1 for v in array("d", packed)])), 4)
+        forged = hashlib.sha256(payload).digest() + payload  # an entry anyone could write
+        entry.write_bytes(forged)
+        if folder == "open to others":
+            (dataset_cache / "evometrics").chmod(0o777)
+        elif folder == "another user's":
+            owner = (dataset_cache / "evometrics").stat().st_uid
+            monkeypatch.setattr(os, "geteuid", lambda: owner + 1)
+        code, out, err = run_cli(argv, capsys)
+        if folder == "private":  # the forged entry is well made: from a private folder, it is read
+            assert (code, err, count_loads[0]) == (0, "", 1) and out != parsed[1]
+        else:  # parsed again, and nothing is written there
+            assert (code, out, err) == parsed and count_loads[0] == 2
+            assert entries(dataset_cache) == [entry] and entry.read_bytes() == forged
 
     def test_the_cache_folder_is_private_and_keeps_the_newest_eight(self, tmp_path, capsys,
                                                                     dataset_cache):

@@ -387,7 +387,7 @@ def reference_validate(values):
         total = math.fsum(x)
     except OverflowError:
         raise AnalysisError("sum beyond the float range") from None
-    if total / len(x) <= 0.0:
+    if total <= 0.0:
         raise AnalysisError("degenerate mean")
     return x, total
 
@@ -478,7 +478,8 @@ def as_scored(x):
     divide by the float mean, score the scaled slice without the mean's rounding.
     """
     try:
-        subnormal = 0.0 < math.fsum(x) / len(x) < sys.float_info.min
+        total = math.fsum(x)
+        subnormal = total > 0.0 and total / len(x) < sys.float_info.min
     except (ArithmeticError, ValueError):  # empty, or a sum the reference refuses
         return x
     return [v * 2.0**600 for v in x] if subnormal else x
@@ -542,3 +543,13 @@ class TestAtkinsonOracle:
         assert ulps_from(report.theil, Decimal("1.5").ln()) <= 1
         assert ulps_from(report.atkinson, Fraction(1, 3)) <= 1
         assert report.gini == 1 / 3  # as before: gini divides by n times the sum, not by the mean
+
+    @pytest.mark.parametrize("x", [[0.0, 5e-324], [0.0, 0.0, 5e-324]])
+    def test_a_mean_that_rounds_to_zero_is_scored(self, x):
+        # the sum is positive, so the slice is not degenerate, though its float mean is 0
+        n = len(x)
+        report = inequality_report(x, 0.5)
+        assert report.gini == (n - 1) / n
+        assert ulps_from(report.pietra, Fraction(n - 1, n)) <= 1
+        assert ulps_from(report.theil, Decimal(n).ln()) <= 1
+        assert ulps_from(report.atkinson, Fraction(n - 1, n)) <= 1
