@@ -36,7 +36,7 @@ from .errors import AnalysisError, InputError
 from .halstead import extract_file
 from .inequality import DEFAULT_EPSILON, inequality_report
 from .svgplot import render_svg
-from .trend import DEFAULT_ALPHA
+from .trend import DEFAULT_ALPHA, NO_TREND
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -127,89 +127,67 @@ def _load_dataset(text: str, data_sha256: str,
     return ds
 
 
-def cmd_inequality(
-    manifest_path: str,
-    data_path: str,
-    package: str,
-    metric: str,
-    epsilon: float = DEFAULT_EPSILON,
-    fmt: str = "json",
-    drop_zeros: bool = False,
-) -> str:
+def cmd_inequality(args) -> int:
     """Per-version inequality report table for one (package, metric)."""
-    ds, inputs = _load_inputs(manifest_path, data_path)
-    slices, gaps = version_slices(ds, package, metric, drop_zeros)
-    reports = list(per_version(inequality_report, slices, epsilon))
+    ds, inputs = _load_inputs(args.manifest, args.data)
+    slices, gaps = version_slices(ds, args.package, args.metric, args.drop_zeros)
+    reports = list(per_version(inequality_report, slices, args.epsilon))
     versions = [version for version, _ in slices]
     if not reports:
-        raise AnalysisError(f"empty selection: no records for package={package!r} metric={metric!r}")
-    if fmt == "csv":
-        return report.inequality_csv(versions, reports)
+        raise AnalysisError(f"empty selection: no records for package={args.package!r} "
+                            f"metric={args.metric!r}")
+    if args.format == "csv":
+        sys.stdout.write(report.inequality_csv(versions, reports))
+        return EXIT_OK
     entry = report.result_entry(
-        package=package,
-        metric=metric,
+        package=args.package,
+        metric=args.metric,
         statistic=None,
         points=None,
         inequality=report.inequality_rows(versions, reports),
         trend=None,
         gaps=gaps,
     )
-    return report.to_json(report.document(inputs, [entry], []))
+    sys.stdout.write(report.to_json(report.document(inputs, [entry], [])))
+    return EXIT_OK
 
 
-def cmd_trend(
-    manifest_path: str,
-    data_path: str,
-    package: str,
-    metric: str,
-    statistic: str,
-    alpha: float = DEFAULT_ALPHA,
-    epsilon: float = DEFAULT_EPSILON,
-    fmt: str = "json",
-    plot_path: str | None = None,
-    drop_zeros: bool = False,
-):
-    """Series construction plus Mann-Kendall verdict; optionally an SVG plot.
-
-    Returns (report text, PipelineResult) so callers can inspect the
-    decision (the --ci-exit flag needs it).
-    """
-    ds, inputs = _load_inputs(manifest_path, data_path)
-    result = run_pipeline(ds, package, metric, statistic, epsilon=epsilon, alpha=alpha,
-                          drop_zeros=drop_zeros)
-    if plot_path is not None:
+def cmd_trend(args) -> int:
+    """Series construction plus Mann-Kendall verdict; optionally an SVG plot."""
+    ds, inputs = _load_inputs(args.manifest, args.data)
+    result = run_pipeline(ds, args.package, args.metric, args.statistic, epsilon=args.epsilon,
+                          alpha=args.alpha, drop_zeros=args.drop_zeros)
+    if args.plot is not None:
         svg = render_svg(result.series, result.trend, result.gaps)
         try:
-            _replace_file(plot_path, svg.encode("utf-8"))
+            _replace_file(args.plot, svg.encode("utf-8"))
         except OSError as exc:
-            raise InputError(f"cannot write {plot_path}: {exc.strerror or exc}") from exc
-    if fmt == "csv":
+            raise InputError(f"cannot write {args.plot}: {exc.strerror or exc}") from exc
+    if args.format == "csv":
         text = report.trend_csv(result.series, result.trend)
     else:
         text = report.to_json(report.document(inputs, [report.pipeline_entry(result)], []))
-    return text, result
+    sys.stdout.write(text)
+    if args.ci_exit and result.trend.decision != NO_TREND:
+        return EXIT_TREND_DETECTED
+    return EXIT_OK
 
 
-def cmd_diversity(
-    data_path: str,
-    version: str,
-    package: str,
-    category_metric: str,
-    fmt: str = "json",
-) -> str:
+def cmd_diversity(args) -> int:
     """Diversity indices of the ecosystem one categorical metric defines.
 
     Entities are counted per distinct value of the metric; the value's
     shortest decimal form is the category label. No manifest is needed:
     this is a single-version analysis.
     """
-    data_text, data_stamp = _read_file(data_path)
+    version, package, metric = args.at_version, args.package, args.category_metric
+    data_text, data_stamp = _read_file(args.data)
     ds = _load_dataset(data_text, data_stamp["sha256"])
     try:  # refused as an empty ecosystem, in this command's words
-        values = slice_distribution(ds, version, package, category_metric)
+        values = slice_distribution(ds, version, package, metric)
     except AnalysisError as exc:
         raise AnalysisError(f"empty ecosystem: no records for version={version!r} "
-                            f"package={package!r} metric={category_metric!r}") from exc
+                            f"package={package!r} metric={metric!r}") from exc
     # sorted labels fix the JSON category order; -0.0 + 0.0 is 0.0, so -0 and 0 are one category
     counts = dict(sorted(Counter(str(v + 0.0) for v in values).items()))
     indices = {
@@ -220,12 +198,13 @@ def cmd_diversity(
         "gini_simpson": gini_simpson(counts),
         "evenness": evenness(counts),
     }
-    if fmt == "csv":
+    if args.format == "csv":
         header = ["version", "package", "category_metric", *indices]
-        return report.csv_table(header, [[version, package, category_metric, *indices.values()]])
+        sys.stdout.write(report.csv_table(header, [[version, package, metric, *indices.values()]]))
+        return EXIT_OK
     entry = report.result_entry(
         package=package,
-        metric=category_metric,
+        metric=metric,
         statistic="diversity",
         extra={
             "version": version,
@@ -233,7 +212,8 @@ def cmd_diversity(
             "diversity": indices,
         },
     )
-    return report.to_json(report.document({"data": data_stamp}, [entry], []))
+    sys.stdout.write(report.to_json(report.document({"data": data_stamp}, [entry], [])))
+    return EXIT_OK
 
 
 def _discover_sources(paths: list[str]) -> tuple[list[Path], list[str], list[str]]:
@@ -261,27 +241,23 @@ def _discover_sources(paths: list[str]) -> tuple[list[Path], list[str], list[str
     return list(unique.values()), warnings, failures
 
 
-def cmd_extract(
-    paths: list[str],
-    version: str,
-    package: str,
-) -> tuple[str, list[str], list[str]]:
+def cmd_extract(args) -> int:
     """Halstead records for the given sources, as dataset-format CSV rows.
 
-    Returns (csv body without header, warnings, failures). Degenerate
-    files (nothing to count) are skipped with a warning; unreadable or
-    untokenizable files land in failures and the command exits 2, after
-    processing everything else.
+    Degenerate files (nothing to count) are skipped with a warning;
+    unreadable or untokenizable files, and paths no CSV row can carry, are
+    reported as errors and the command exits 2, after processing everything
+    else.
     """
-    for label, value in (("version", version), ("package", package)):
-        if "," in value:
-            raise InputError(f"{label} label contains a comma: {value!r}")
-    files, warnings, failures = _discover_sources(paths)
+    for label, value in (("version", args.src_version), ("package", args.package)):
+        if fault := dataset._field_break(value):
+            raise InputError(f"{label} label contains {fault}: {value!r}")
+    files, warnings, failures = _discover_sources(args.paths)
     records = []
     for path in files:
         entity = path.as_posix()
-        if "," in entity:
-            failures.append(f"{entity}: path contains a comma")
+        if fault := dataset._field_break(entity):
+            failures.append(f"{entity}: path contains {fault}")
             continue
         try:
             text = path.read_text(encoding="utf-8-sig")  # a BOM is not source
@@ -289,14 +265,19 @@ def cmd_extract(
             failures.append(f"{entity}: {exc}")
             continue
         try:
-            records.extend(extract_file(text, version, package, entity))
+            records.extend(extract_file(text, args.src_version, args.package, entity))
         except AnalysisError as exc:
             warnings.append(f"skipped {exc}")
         except InputError as exc:
             failures.append(str(exc))
     records.sort(key=lambda r: r.entity)
+    for message in warnings:  # before the write, which a refusal would end
+        print(f"warning: {message}", file=sys.stderr)
+    for message in failures:
+        print(f"error: {message}", file=sys.stderr)
     body = "".join(f"{r.version},{r.package},{r.entity},{r.metric},{r.value}\n" for r in records)
-    return body, warnings, failures
+    _write_extract_output(body, args.output)
+    return EXIT_INPUT if failures else EXIT_OK
 
 
 def _write_extract_output(body: str, output: str) -> None:
@@ -401,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inequality", parents=[series],
                        help="per-version inequality indices for one slice")
-    p.set_defaults(func=_run_inequality)
+    p.set_defaults(func=cmd_inequality)
 
     p = sub.add_parser("trend", parents=[series], help="Mann-Kendall trend over a version series")
     p.add_argument("--statistic", choices=STATISTICS, default="gini")
@@ -411,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write an SVG line plot of the series")
     p.add_argument("--ci-exit", action="store_true",
                    help=f"exit {EXIT_TREND_DETECTED} when a trend is detected")
-    p.set_defaults(func=_run_trend)
+    p.set_defaults(func=cmd_trend)
 
     p = sub.add_parser("diversity", help="ecosystem diversity of one version slice")
     p.add_argument("--data", required=True)
@@ -421,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--category-metric", required=True,
                    help="metric whose values define the categories")
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.set_defaults(func=_run_diversity)
+    p.set_defaults(func=cmd_diversity)
 
     p = sub.add_parser("extract", help="Halstead measures from C-family sources")
     p.add_argument("paths", nargs="+", help="source files or directories")
@@ -430,45 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--package", required=True)
     p.add_argument("--output", default="-",
                    help="dataset CSV to write or append to ('-' for stdout)")
-    p.set_defaults(func=_run_extract)
+    p.set_defaults(func=cmd_extract)
 
     return parser
-
-
-def _run_inequality(args) -> int:
-    text = cmd_inequality(args.manifest, args.data, args.package, args.metric,
-                          epsilon=args.epsilon, fmt=args.format,
-                          drop_zeros=args.drop_zeros)
-    sys.stdout.write(text)
-    return EXIT_OK
-
-
-def _run_trend(args) -> int:
-    text, result = cmd_trend(args.manifest, args.data, args.package, args.metric,
-                             args.statistic, alpha=args.alpha, epsilon=args.epsilon,
-                             fmt=args.format, plot_path=args.plot,
-                             drop_zeros=args.drop_zeros)
-    sys.stdout.write(text)
-    if args.ci_exit and result.trend.decision != "no_trend_not_rejected":
-        return EXIT_TREND_DETECTED
-    return EXIT_OK
-
-
-def _run_diversity(args) -> int:
-    text = cmd_diversity(args.data, args.at_version, args.package,
-                         args.category_metric, fmt=args.format)
-    sys.stdout.write(text)
-    return EXIT_OK
-
-
-def _run_extract(args) -> int:
-    body, warnings, failures = cmd_extract(args.paths, args.src_version, args.package)
-    for message in warnings:  # before the write, which a refusal would end
-        print(f"warning: {message}", file=sys.stderr)
-    for message in failures:
-        print(f"error: {message}", file=sys.stderr)
-    _write_extract_output(body, args.output)
-    return EXIT_INPUT if failures else EXIT_OK
 
 
 def main(argv=None) -> int:

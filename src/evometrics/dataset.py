@@ -93,6 +93,16 @@ class PipelineResult:
     gaps: tuple[str, ...]
 
 
+def _field_break(label: str) -> str | None:
+    """What would carry ``label`` out of its CSV field, or None: a comma, or a line boundary
+    (``load_csv`` splits rows where ``str.splitlines`` does)."""
+    if "," in label:
+        return "a comma"
+    if label.splitlines() not in ([label], []):  # "".splitlines() is []
+        return "a line break"
+    return None
+
+
 def load_manifest(text: str) -> tuple[str, ...]:
     """Parse the version-order manifest: a JSON object {"versions": [...]}.
 
@@ -115,7 +125,7 @@ def load_manifest(text: str) -> tuple[str, ...]:
     for v in versions:
         if v in seen:
             raise InputError(f"malformed manifest: duplicate version {v!r}")
-        if v.strip() != v or "," in v or v.splitlines() != [v]:  # "".splitlines() is []
+        if not v or v.strip() != v or _field_break(v):
             raise InputError(f"malformed manifest: version {v!r} cannot be a CSV label")
         seen.add(v)
     return tuple(versions)

@@ -24,6 +24,8 @@ from evometrics.cli import main
 HEADER = "version,package,entity,metric,value\n"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
+# every character str.splitlines breaks a line at, so load_csv would split a row there
+LINE_BREAKS = ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 def run_cli(argv, capsys):
@@ -875,6 +877,7 @@ class TestExtractCommand:
         ("latin1.cc", b"a = '\xe9';\n",
          "'utf-8' codec can't decode byte 0xe9 in position 5: invalid continuation byte"),
         ("open.cc", b"a = b;\n/* never closed\n", "line 2: unterminated block comment"),
+        *[(f"a{brk}b.cc", b"a = b;\n", "path contains a line break") for brk in LINE_BREAKS],
     ])
     def test_failing_file_exits_2_after_processing_others(self, tmp_path, capsys, name,
                                                           content, message):
@@ -896,6 +899,20 @@ class TestExtractCommand:
                                   "--package", labels["package"]], capsys)
         assert (code, out) == (2, "")
         assert err == f"error: {label} label contains a comma: 'x,y'\n"
+
+    @pytest.mark.parametrize("label", ["version", "package"])
+    @pytest.mark.parametrize("value", [*(f"x{brk}y" for brk in LINE_BREAKS), "x\n", "\u2028"])
+    def test_label_with_a_line_break_is_refused_before_a_file_is_read(self, tmp_path, capsys,
+                                                                       label, value):
+        src = tmp_path / "f.cc"
+        src.write_text("a = b;\n")
+        labels = {"version": "v1", "package": "p", label: value}
+        code, out, err = run_cli(["extract", str(src), str(tmp_path / "missing.cc"),
+                                  "--version", labels["version"], "--package", labels["package"],
+                                  "--output", str(tmp_path / "out.csv")], capsys)
+        assert (code, out) == (2, "")  # no "not found" for the missing path: nothing was read
+        assert err == f"error: {label} label contains a line break: {value!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.cc"]
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         src = tmp_path / "f.cc"
@@ -1244,6 +1261,44 @@ class TestDatasetCache:
             assert entries(dataset_cache) == sorted(kept)
         assert all(other.read_text() == "not an entry\n" for other in others)
 
+    @pytest.mark.parametrize("xdg", [None, "", "relative/cache"])
+    def test_without_an_absolute_xdg_cache_home_the_cache_is_under_home(
+        self, tmp_path, capsys, monkeypatch, count_loads, xdg
+    ):
+        manifest, data = write_inputs(tmp_path, *cache_rows())
+        argv = ["trend", "--manifest", manifest, "--data", data, "--package", "p",
+                "--metric", "m"]
+        expected = run_cli(argv, capsys)
+        assert expected[0] == 0
+        monkeypatch.setenv("HOME", str(tmp_path))
+        if xdg is None:
+            monkeypatch.delenv("XDG_CACHE_HOME")
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+        monkeypatch.chdir(tmp_path)  # where a relative XDG_CACHE_HOME would land, if taken
+        for _ in range(2):  # a miss, then a hit from the default folder
+            assert run_cli(argv, capsys) == expected
+        assert count_loads[0] == 2
+        folder = tmp_path / ".cache" / "evometrics"
+        assert stat.S_IMODE(folder.stat().st_mode) == 0o700
+        assert len(entries(tmp_path / ".cache")) == 1
+        assert not (tmp_path / "relative").exists()
+
+    def test_a_relative_home_uses_no_cache(self, tmp_path, capsys, monkeypatch, count_loads):
+        manifest, data = write_inputs(tmp_path, *cache_rows())
+        argv = ["trend", "--manifest", manifest, "--data", data, "--package", "p",
+                "--metric", "m"]
+        expected = run_cli(argv, capsys)
+        assert expected[0] == 0
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setenv("HOME", "home")
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        for _ in range(2):  # each run parses, and writes nothing
+            assert run_cli(argv, capsys) == expected
+        assert count_loads[0] == 3
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("change", ["parser", "interpreter"])
     def test_a_changed_parser_or_interpreter_is_a_miss(self, tmp_path, capsys, monkeypatch,
                                                        count_loads, change):
@@ -1265,42 +1320,52 @@ class TestDatasetCache:
 
 
 class TestCommandFunctions:
-    # the command functions are a public surface of their own, beyond argv wiring
+    # each command is one function of the parsed arguments, which writes its output itself
 
-    def test_cmd_trend_returns_text_and_result(self, monotone_inputs):
-        from evometrics.cli import cmd_trend
+    def test_cmd_trend_writes_the_report_and_returns_the_exit_code(self, monotone_inputs,
+                                                                   capsys):
+        from evometrics.cli import build_parser, cmd_trend
 
         manifest, data = monotone_inputs
-        text, result = cmd_trend(manifest, data, "p", "m", "gini", alpha=0.01)
-        assert result.trend.decision == "upward"
-        doc = json.loads(text)
-        assert doc["results"][0]["trend"]["s"] == result.trend.s
+        args = build_parser().parse_args(["trend", "--manifest", manifest, "--data", data,
+                                          "--package", "p", "--metric", "m", "--ci-exit"])
+        assert cmd_trend(args) == 3
+        [entry] = json.loads(capsys.readouterr().out)["results"]
+        assert entry["trend"]["s"] == 66  # 12 points, each above every one before it
 
-    def test_cmd_inequality_csv_text(self, tmp_path):
-        from evometrics.cli import cmd_inequality
+    def test_cmd_inequality_csv_text(self, tmp_path, capsys):
+        from evometrics.cli import build_parser, cmd_inequality
 
         manifest, data = write_inputs(
             tmp_path, ["v1"], [f"v1,p,e{j},m,{v}" for j, v in enumerate([1, 2, 3, 4])]
         )
-        text = cmd_inequality(manifest, data, "p", "m", fmt="csv")
-        assert text.splitlines()[1].startswith("v1,4,0.25,0.2,")
+        args = build_parser().parse_args(["inequality", "--manifest", manifest, "--data", data,
+                                          "--package", "p", "--metric", "m", "--format", "csv"])
+        assert cmd_inequality(args) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("v1,4,0.25,0.2,")
 
-    def test_cmd_diversity_json(self, tmp_path):
-        from evometrics.cli import cmd_diversity
+    def test_cmd_diversity_json(self, tmp_path, capsys):
+        from evometrics.cli import build_parser, cmd_diversity
 
         data = tmp_path / "d.csv"
         data.write_text(HEADER + "v1,p,a,kind,1\nv1,p,b,kind,2\n")
-        doc = json.loads(cmd_diversity(str(data), "v1", "p", "kind"))
+        args = build_parser().parse_args(["diversity", "--data", str(data), "--version", "v1",
+                                          "--package", "p", "--category-metric", "kind"])
+        assert cmd_diversity(args) == 0
+        doc = json.loads(capsys.readouterr().out)
         assert doc["results"][0]["diversity"]["richness"] == 2
 
-    def test_cmd_extract_body_and_warnings(self, tmp_path):
-        from evometrics.cli import cmd_extract
+    def test_cmd_extract_rows_and_no_warning(self, tmp_path, capsys):
+        from evometrics.cli import build_parser, cmd_extract
 
         src = tmp_path / "f.cc"
         src.write_text("a = b;\n")
-        body, warnings, failures = cmd_extract([str(src)], "v1", "p")
-        assert body.count("\n") == 7
-        assert warnings == [] and failures == []
+        args = build_parser().parse_args(["extract", str(src), "--version", "v1",
+                                          "--package", "p"])
+        assert cmd_extract(args) == 0
+        out, err = capsys.readouterr()
+        assert out.count("\n") == 1 + 7  # the header and seven rows
+        assert err == ""
 
 
 class TestDeterminism:

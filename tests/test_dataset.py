@@ -81,6 +81,20 @@ class TestManifest:
             load_manifest(json.dumps({"versions": [label, "r02"]}))
         assert str(info.value) == f"malformed manifest: version {label!r} cannot be a CSV label"
 
+    # every character str.splitlines breaks a line at, as load_csv splits its rows
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                     "\x85", "\u2028", "\u2029"])
+    def test_a_label_holding_a_line_boundary_is_one_no_row_can_carry(self, brk):
+        with pytest.raises(InputError, match="cannot be a CSV label"):
+            load_manifest(json.dumps({"versions": [f"r{brk}01"]}))
+        with pytest.raises(InputError, match="line 2: expected 5 comma-separated fields, got 1"):
+            load_csv(csv_for([f"r{brk}01,p,e,m,1"]))
+
+    @pytest.mark.parametrize("label", ["r\x1f01", "r\t01", "r 01"])  # inner space, not a boundary
+    def test_a_label_holding_inner_space_is_carried(self, label):
+        assert load_manifest(json.dumps({"versions": [label]})) == (label,)
+        assert load_csv(csv_for([f"{label},p,e,m,1"]), [label]).records[0][0] == label
+
 
 class TestLoadCsv:
     def test_single_row(self):
