@@ -20,17 +20,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__, dataset, report
-from .dataset import (
-    CSV_HEADER,
-    STATISTICS,
-    MetricsDataset,
-    load_csv,
-    load_manifest,
-    per_version,
-    run_pipeline,
-    slice_distribution,
-    version_slices,
-)
+from .dataset import CSV_HEADER, STATISTICS, load_csv, load_manifest, per_version
 from .diversity import evenness, gini_simpson, richness, shannon, simpson
 from .errors import AnalysisError, InputError
 from .halstead import extract_file
@@ -46,28 +36,31 @@ EXIT_TREND_DETECTED = 3
 SOURCE_SUFFIXES = {".c", ".h", ".cc", ".hh", ".cpp", ".hpp", ".cxx", ".hxx", ".icc", ".inl"}
 
 
-def _read_file(path: str) -> tuple[str, dict]:
-    """The file's text and its report stamp; its bytes are not held beside the text."""
+def _read_file(path: str) -> tuple[bytes, dict]:
+    """The file's bytes and its report stamp."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    return data, report.file_stamp(path, data)
+
+
+def _decode(path: str, data: bytes) -> str:
     try:
-        return data.decode("utf-8"), report.file_stamp(path, data)
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot decode {path} as UTF-8: {exc}") from exc
 
 
-def _load_inputs(manifest_path: str, data_path: str) -> tuple[MetricsDataset, dict]:
-    manifest_text, manifest_stamp = _read_file(manifest_path)
-    data_text, data_stamp = _read_file(data_path)
-    inputs = {"manifest": manifest_stamp, "data": data_stamp}
-    version_order = load_manifest(manifest_text)
-    return _load_dataset(data_text, data_stamp["sha256"], version_order), inputs
+def _load_inputs(manifest_path: str, data_path: str) -> tuple[tuple[str, ...], dict, dict]:
+    """The manifest's version order, the data's grouping and the report stamps of both."""
+    manifest_data, manifest_stamp = _read_file(manifest_path)
+    order, groups, data_stamp = _load_dataset(data_path, _decode(manifest_path, manifest_data))
+    return order, groups, {"manifest": manifest_stamp, "data": data_stamp}
 
 
 # names the framing _load_dataset gives an entry; dataset.py's bytes, in the key, cover the rest
-_CACHE_FORMAT = "evometrics-dataset-1"
+_CACHE_FORMAT = "evometrics-dataset-2"
 _CACHE_ENTRIES = 8  # datasets kept; the oldest written beyond them are deleted
 
 
@@ -95,42 +88,62 @@ def _cache_entry(data_sha256: str, version_order: tuple[str, ...] | None) -> Pat
     return folder / f"{hashlib.sha256(json.dumps(key).encode()).hexdigest()}.dataset"
 
 
-def _load_dataset(text: str, data_sha256: str,
-                  version_order: tuple[str, ...] | None = None) -> MetricsDataset:
-    """``load_csv(text, version_order)``, read back from the user's cache when it holds it.
+def _load_dataset(path: str,
+                  manifest_text: str | None = None) -> tuple[tuple[str, ...], dict, dict]:
+    """The version order and grouping (``MetricsDataset._groups``) of ``load_csv`` over the
+    data file at ``path``, read back from the user's cache when it holds them, and the
+    file's report stamp.
 
-    An entry is the sha256 of its payload, then the marshalled columns of
-    ``dataset._columns``. An entry that cannot be read or checked is a miss. A
-    miss runs ``load_csv``, and only a dataset it accepted is stored. A cache that
-    cannot be written is not used.
+    The version order is ``load_manifest(manifest_text)``; without a manifest, any
+    version is accepted. A data file that cannot be read or decoded is refused before
+    a manifest that does not parse. An entry is the sha256 of its payload, then the
+    marshalled payload of ``dataset._pack_groups``. A hit decodes no text and builds no
+    record: it reads the grouping, whose slices are in entity order already. An entry
+    that cannot be read, checked or unpacked is a miss. A miss decodes the file and
+    runs ``load_csv``, and only a dataset it accepted is stored. A cache that cannot
+    be written is not used.
     """
+    data, stamp = _read_file(path)
+    version_order = None
+    if manifest_text is not None:
+        try:
+            version_order = load_manifest(manifest_text)
+        except InputError:
+            _decode(path, data)  # data that does not decode is named first
+            raise
     try:
-        entry = _cache_entry(data_sha256, version_order)
+        entry = _cache_entry(stamp["sha256"], version_order)
     except OSError:
-        return load_csv(text, version_order)
-    try:
-        blob = entry.read_bytes()
-        payload = memoryview(blob)[32:]
-        if hashlib.sha256(payload).digest() == blob[:32]:
-            return dataset._from_columns(*marshal.loads(payload))
-    except (OSError, EOFError, ValueError, TypeError):
-        pass
+        entry = None
+    else:
+        try:
+            blob = entry.read_bytes()
+            payload = memoryview(blob)[32:]
+            if hashlib.sha256(payload).digest() == blob[:32]:
+                return *dataset._unpack_groups(marshal.loads(payload)), stamp
+        except (OSError, EOFError, ValueError, TypeError):
+            pass
+    text = _decode(path, data)
+    del data  # the bytes are freed before the parse
     ds = load_csv(text, version_order)
-    payload = marshal.dumps(dataset._columns(ds), 4)  # the columns are freed before the copy
-    try:
-        _replace_file(str(entry), hashlib.sha256(payload).digest() + payload)
-        entries = sorted(entry.parent.glob("*.dataset"), key=lambda p: p.stat().st_mtime)
-        for old in entries[:-_CACHE_ENTRIES]:
-            old.unlink(missing_ok=True)
-    except OSError:
-        pass
-    return ds
+    order, groups = ds.version_order, ds._groups
+    del ds, text  # the records and text are freed before the entry is made
+    if entry is not None:
+        payload = marshal.dumps(dataset._pack_groups(order, groups), 4)
+        try:
+            _replace_file(str(entry), hashlib.sha256(payload).digest() + payload)
+            entries = sorted(entry.parent.glob("*.dataset"), key=lambda p: p.stat().st_mtime)
+            for old in entries[:-_CACHE_ENTRIES]:
+                old.unlink(missing_ok=True)
+        except OSError:
+            pass
+    return order, groups, stamp
 
 
 def cmd_inequality(args) -> int:
     """Per-version inequality report table for one (package, metric)."""
-    ds, inputs = _load_inputs(args.manifest, args.data)
-    slices, gaps = version_slices(ds, args.package, args.metric, args.drop_zeros)
+    order, groups, inputs = _load_inputs(args.manifest, args.data)
+    slices, gaps = dataset._slices(groups, args.package, args.metric, order, args.drop_zeros)
     reports = list(per_version(inequality_report, slices, args.epsilon))
     versions = [version for version, _ in slices]
     if not reports:
@@ -154,9 +167,10 @@ def cmd_inequality(args) -> int:
 
 def cmd_trend(args) -> int:
     """Series construction plus Mann-Kendall verdict; optionally an SVG plot."""
-    ds, inputs = _load_inputs(args.manifest, args.data)
-    result = run_pipeline(ds, args.package, args.metric, args.statistic, epsilon=args.epsilon,
-                          alpha=args.alpha, drop_zeros=args.drop_zeros)
+    order, groups, inputs = _load_inputs(args.manifest, args.data)
+    slices, gaps = dataset._slices(groups, args.package, args.metric, order, args.drop_zeros)
+    result = dataset._pipeline(slices, gaps, args.package, args.metric, args.statistic,
+                               args.epsilon, args.alpha)
     if args.plot is not None:
         svg = render_svg(result.series, result.trend, result.gaps)
         try:
@@ -181,13 +195,12 @@ def cmd_diversity(args) -> int:
     this is a single-version analysis.
     """
     version, package, metric = args.at_version, args.package, args.category_metric
-    data_text, data_stamp = _read_file(args.data)
-    ds = _load_dataset(data_text, data_stamp["sha256"])
-    try:  # refused as an empty ecosystem, in this command's words
-        values = slice_distribution(ds, version, package, metric)
-    except AnalysisError as exc:
+    _, groups, data_stamp = _load_dataset(args.data)
+    slices, _ = dataset._slices(groups, package, metric, (version,), False)
+    if not slices:
         raise AnalysisError(f"empty ecosystem: no records for version={version!r} "
-                            f"package={package!r} metric={metric!r}") from exc
+                            f"package={package!r} metric={metric!r}")
+    [(_, values)] = slices
     # sorted labels fix the JSON category order; -0.0 + 0.0 is 0.0, so -0 and 0 are one category
     counts = dict(sorted(Counter(str(v + 0.0) for v in values).items()))
     indices = {
@@ -245,9 +258,9 @@ def cmd_extract(args) -> int:
     """Halstead records for the given sources, as dataset-format CSV rows.
 
     Degenerate files (nothing to count) are skipped with a warning;
-    unreadable or untokenizable files, and paths no CSV row can carry, are
-    reported as errors and the command exits 2, after processing everything
-    else.
+    unreadable or untokenizable files, and paths no CSV row can carry (not
+    valid UTF-8, or holding a comma or a line break), are reported as errors
+    and the command exits 2, after processing everything else.
     """
     for label, value in (("version", args.src_version), ("package", args.package)):
         if fault := dataset._field_break(value):
@@ -256,6 +269,12 @@ def cmd_extract(args) -> int:
     records = []
     for path in files:
         entity = path.as_posix()
+        try:
+            entity.encode("utf-8")  # undecodable bytes of the name stand as lone surrogates
+        except UnicodeEncodeError:
+            shown = os.fsencode(entity).decode("utf-8", "backslashreplace")
+            failures.append(f"{shown}: path is not valid UTF-8")
+            continue
         if fault := dataset._field_break(entity):
             failures.append(f"{entity}: path contains {fault}")
             continue

@@ -44,7 +44,8 @@ class MetricsDataset:
     """Immutable record table plus the analysis order of its versions.
 
     The first lookup groups all records by package, metric and version in
-    one pass, and every lookup reads one list per version.
+    one pass and sorts each group by entity; every lookup copies one list per
+    version.
     """
 
     records: tuple[Record, ...]
@@ -52,14 +53,60 @@ class MetricsDataset:
 
     @cached_property
     def _groups(self) -> dict:
-        """package -> metric -> version -> records in file order."""
+        """package -> metric -> version -> the values, in entity order.
+
+        The sort is stable, so the records of one entity keep their file order.
+        """
         groups: dict = {}
         for r in self.records:
             try:
                 groups[r.package][r.metric][r.version].append(r)
             except KeyError:
                 groups.setdefault(r.package, {}).setdefault(r.metric, {})[r.version] = [r]
+        for by_metric in groups.values():
+            for by_version in by_metric.values():
+                for version, group in by_version.items():
+                    by_version[version] = list(map(_VALUE, sorted(group, key=_ENTITY)))
         return groups
+
+
+def _pack_groups(order: tuple[str, ...], groups: dict) -> tuple:
+    """``order`` and a ``_groups`` result as plain data for ``marshal``, each release's
+    values packed as doubles, so each value is written with its bits."""
+    return order, {package: {metric: {version: array("d", values).tobytes()
+                                      for version, values in by_version.items()}
+                             for metric, by_version in by_metric.items()}
+                   for package, by_metric in groups.items()}
+
+
+def _unpack_groups(payload: object) -> tuple[tuple[str, ...], dict]:
+    """The version order and grouping ``_pack_groups`` took apart, each release's values
+    an ``array("d")``: a lookup copies out only the floats it reads.
+
+    Raises ValueError on any other shape: not a pair of a tuple of str and a
+    dict -> dict -> dict -> bytes whose lengths are multiples of 8.
+    """
+    if not isinstance(payload, tuple) or len(payload) != 2:
+        raise ValueError("not a pair")
+    order, packed = payload
+    if not isinstance(order, tuple) or not all(isinstance(v, str) for v in order):
+        raise ValueError("version order not a tuple of str")
+    return order, {package: {metric: {version: _doubles(values)
+                                      for version, values in _items(by_version)}
+                             for metric, by_version in _items(by_metric)}
+                   for package, by_metric in _items(packed)}
+
+
+def _items(level: object):
+    if not isinstance(level, dict):
+        raise ValueError("a level of the grouping not a dict")
+    return level.items()
+
+
+def _doubles(packed: object) -> array:
+    if not isinstance(packed, bytes) or len(packed) % 8:
+        raise ValueError("values not packed doubles")
+    return array("d", packed)
 
 
 @dataclass(frozen=True)
@@ -223,28 +270,6 @@ def _records(labels: list[list[str]], values: list[float]) -> Iterator[Record]:
     return map(tuple.__new__, repeat(Record), zip(*labels, values))
 
 
-def _columns(ds: MetricsDataset) -> tuple:
-    """``ds`` as plain data for ``marshal``: its version order, its four label columns and
-    its values packed as doubles, so each label is written once and each value with its bits.
-    """
-    labels = [list(map(itemgetter(i), ds.records)) for i in range(4)]
-    return ds.version_order, labels, array("d", map(_VALUE, ds.records))
-
-
-def _from_columns(order: tuple[str, ...], labels: list[list[str]],
-                  packed: bytes) -> MetricsDataset:
-    """The dataset ``_columns`` took apart, its equal labels still one string object.
-
-    Raises ValueError on columns that do not make whole records.
-    """
-    values = array("d", packed).tolist()
-    if len(labels) != 4 or any(len(column) != len(values) for column in labels):
-        raise ValueError("label and value columns of unequal length")
-    with _acyclic():
-        records = tuple(_records(labels, values))
-    return MetricsDataset(records=records, version_order=order)
-
-
 def _refusal(chunk: str, first: int, known: frozenset | None, records: list) -> InputError:
     """The refusal of a failing ``chunk``'s first line to break a rule, numbered from ``first``."""
     rows = [(line, [f.strip() for f in text.split(",")])
@@ -279,19 +304,20 @@ def version_slices(
     Returns the covered ``(version, values)`` pairs in manifest order, with
     values sorted by entity label so that record order in the file does not
     matter, and the gap versions: no records, or with ``drop_zeros`` only zeros.
-    The first lookup on ``ds`` groups all its records by package, metric and
-    version in one pass; it and every later lookup read one list per version.
+    The first lookup on ``ds`` builds its grouping (``MetricsDataset._groups``),
+    sorting each slice there; it and every later lookup copy one list per version.
     """
-    return _slices(ds, package, metric, ds.version_order, drop_zeros)
+    return _slices(ds._groups, package, metric, ds.version_order, drop_zeros)
 
 
 def _slices(
-    ds: MetricsDataset, package: str, metric: str, versions: Sequence[str], drop_zeros: bool
+    groups: dict, package: str, metric: str, versions: Sequence[str], drop_zeros: bool
 ) -> tuple[list[tuple[str, list[float]]], tuple[str, ...]]:
-    by_version = ds._groups.get(package, {}).get(metric, {})
+    """``version_slices`` of a grouping, over ``versions``."""
+    by_version = groups.get(package, {}).get(metric, {})
     slices, gaps = [], []
     for version in dict.fromkeys(versions):  # a repeated label is served once, at its first place
-        values = list(map(_VALUE, sorted(by_version.get(version, ()), key=_ENTITY)))  # stable
+        values = list(by_version.get(version, ()))
         if drop_zeros:
             values = [value for value in values if value > 0]
         if values:
@@ -303,7 +329,7 @@ def _slices(
 
 def slice_distribution(ds: MetricsDataset, version: str, package: str, metric: str) -> list[float]:
     """Entity-sorted values of one metric over one (version, package) slice."""
-    slices, _ = _slices(ds, package, metric, (version,), False)
+    slices, _ = _slices(ds._groups, package, metric, (version,), False)
     if not slices:
         raise AnalysisError(
             f"empty slice: version={version!r} package={package!r} metric={metric!r}"
@@ -407,6 +433,19 @@ def run_pipeline(
     bad alpha, then for ``mean`` and ``median`` the inequality reports.
     """
     slices, gaps = version_slices(ds, package, metric, drop_zeros)
+    return _pipeline(slices, gaps, package, metric, statistic, epsilon, alpha)
+
+
+def _pipeline(
+    slices: list[tuple[str, list[float]]],
+    gaps: tuple[str, ...],
+    package: str,
+    metric: str,
+    statistic: str,
+    epsilon: float,
+    alpha: float,
+) -> PipelineResult:
+    """``run_pipeline`` of the slices and gaps ``version_slices`` gave."""
     series, reports = _series(slices, package, metric, statistic, epsilon)
     if len(series.points) < 4:
         raise AnalysisError(

@@ -2,6 +2,7 @@
 
 import errno
 import hashlib
+import itertools
 import json
 import marshal
 import math
@@ -14,12 +15,14 @@ import tempfile
 import threading
 from array import array
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from evometrics import cli, dataset, gini, load_csv, load_manifest, pietra, run_pipeline
 from evometrics.cli import main
+from evometrics.dataset import version_slices
 
 HEADER = "version,package,entity,metric,value\n"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -890,6 +893,28 @@ class TestExtractCommand:
         assert out == run_cli(["extract", str(tmp_path / "ok.cc"), "--version", "v1",
                                "--package", "p"], capsys)[1]
 
+    @pytest.mark.parametrize("output", ["-", "out.csv"])
+    def test_path_not_valid_utf8_exits_2_after_processing_others(self, tmp_path, capsys,
+                                                                 output):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        (tree / "ok.cc").write_text("a = b;\n")
+        try:
+            with open(os.path.join(os.fsencode(tree), b"a\xffb.cc"), "wb") as fh:
+                fh.write(b"a = b;\n")
+        except OSError:
+            pytest.skip("the filesystem refuses a name that is not UTF-8")
+        if output != "-":
+            output = str(tmp_path / output)
+        code, out, err = run_cli(["extract", str(tree), "--version", "v1", "--package", "p",
+                                  "--output", output], capsys)
+        assert code == 2
+        assert err == f"error: {tree.as_posix()}/a\\xffb.cc: path is not valid UTF-8\n"
+        written = out if output == "-" else Path(output).read_bytes().decode("utf-8")
+        written.encode("utf-8")  # no lone surrogate: the text is valid UTF-8
+        assert written == run_cli(["extract", str(tree / "ok.cc"), "--version", "v1",
+                                   "--package", "p"], capsys)[1]
+
     @pytest.mark.parametrize("label", ["version", "package"])
     def test_label_with_a_comma_exits_2(self, tmp_path, capsys, label):
         src = tmp_path / "f.cc"
@@ -1095,17 +1120,47 @@ class TestDatasetCache:
         assert outputs[0] == outputs[1]
         assert (outputs[0][1] is None) == ("--plot" not in self.COMMANDS[name])
 
-    def test_a_hit_equals_the_load_and_shares_its_labels(self, tmp_path, count_loads):
-        _, data = write_inputs(tmp_path, *cache_rows())
-        order = ("v6", "v5", "v4", "v3", "v2", "v1")
-        text, stamp = cli._read_file(data)
-        for expected_loads in (1, 1):
-            ds = cli._load_dataset(text, stamp["sha256"], order)
-            assert count_loads[0] == expected_loads
-        assert ds == load_csv(text, order)
-        for column in range(4):  # equal labels are one string object, as load_csv makes them
-            labels = [record[column] for record in ds.records]
-            assert len(set(map(id, labels))) == len(set(labels))
+    @pytest.mark.parametrize("order", [None, ("v6", "v5", "v4", "v3", "v2", "v1")])
+    def test_a_hit_gives_the_slices_of_the_load_bit_for_bit(self, tmp_path, count_loads,
+                                                             order):
+        versions, rows = cache_rows()
+        rows += ["v2,r,e3,m,-0.0", "v2,r,e1,m,5e-324", "v2,r,e2,m,1.7976931348623157e308",
+                 "v4,r,e0,m,-0.0", "v5,r,e0,m,0", "v5,r,e1,m,-5e-324"]
+        _, path = write_inputs(tmp_path, versions, rows)
+        manifest_text = None if order is None else json.dumps({"versions": order})
+        ds = load_csv(Path(path).read_text(), order)
+        pairs = sorted({(r.package, r.metric) for r in ds.records}) + [("p", "absent")]
+
+        def bits(slices, gaps):  # -0.0 and 0.0 differ here, and float.hex refuses an int
+            return [(version, list(map(float.hex, values))) for version, values in slices], gaps
+
+        for expected_loads in (1, 1):  # a miss, then a hit
+            hit_order, groups, _ = cli._load_dataset(path, manifest_text)
+            assert (hit_order, count_loads[0]) == (ds.version_order, expected_loads)
+            for (package, metric), drop_zeros in itertools.product(pairs, (False, True)):
+                for versions in (ds.version_order, *zip(ds.version_order)):
+                    expected = version_slices(replace(ds, version_order=versions), package,
+                                              metric, drop_zeros)
+                    got = dataset._slices(groups, package, metric, versions, drop_zeros)
+                    assert bits(*got) == bits(*expected), (package, metric, versions)
+
+    def test_a_hit_builds_no_record(self, tmp_path, capsys, monkeypatch, count_loads):
+        manifest, data = write_inputs(tmp_path, *cache_rows())
+        argvs = [self.argv(name, manifest, data, tmp_path / f"{name}.svg")
+                 for name in self.COMMANDS]
+        parsed = [run_cli(argv, capsys) for argv in argvs]  # one miss per cache key
+        plots = sorted((p.name, p.read_bytes()) for p in tmp_path.glob("*.svg"))
+
+        def no_records(*args):
+            raise AssertionError("a record was built")
+
+        monkeypatch.setattr(dataset, "_records", no_records)
+        assert [run_cli(argv, capsys) for argv in argvs] == parsed
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.glob("*.svg")) == plots
+        assert count_loads[0] == 2  # the manifest's key and diversity's
+        Path(data).write_text(Path(data).read_text() + "v1,r,e0,m,1\n")
+        with pytest.raises(AssertionError, match="a record was built"):
+            main(argvs[0])  # a miss builds them
 
     def test_an_edited_data_byte_is_a_miss(self, tmp_path, capsys, dataset_cache, count_loads):
         versions, rows = cache_rows()
@@ -1137,8 +1192,8 @@ class TestDatasetCache:
         assert count_loads[0] == 2
 
     @pytest.mark.parametrize("damage", [
-        "truncated", "empty", "garbage", "flipped", "one-label-column-short",
-        "three-label-columns", "not-a-triple", "values-not-doubles",
+        "truncated", "empty", "garbage", "flipped", "not-a-pair", "order-not-str",
+        "group-not-bytes", "group-not-doubles", "level-not-a-dict",
     ])
     def test_a_damaged_entry_is_a_miss_and_is_rewritten(self, tmp_path, capsys, dataset_cache,
                                                         count_loads, damage):
@@ -1149,12 +1204,13 @@ class TestDatasetCache:
         assert first[0] == 0
         [entry] = entries(dataset_cache)
         good = entry.read_bytes()
-        order, labels, packed = marshal.loads(good[32:])
+        order, groups = marshal.loads(good[32:])
         payload = {
-            "one-label-column-short": (order, [labels[0][1:], *labels[1:]], packed),
-            "three-label-columns": (order, labels[:3], packed),
-            "not-a-triple": (order, labels),
-            "values-not-doubles": (order, labels, packed[:-1]),
+            "not-a-pair": [order, groups],  # a list, where it would unpack as one
+            "order-not-str": (order[:-1] + (len(order),), groups),
+            "group-not-bytes": (order, {**groups, "p": {"m": {"v1": [1.0] * 8}}}),
+            "group-not-doubles": (order, {**groups, "p": {"m": {"v1": b"\0" * 12}}}),
+            "level-not-a-dict": (order, {**groups, "p": list(groups["p"].items())}),
         }.get(damage)
         if payload is not None:  # well formed, with a checksum that holds, but the wrong shape
             blob = marshal.dumps(payload, 4)
@@ -1225,8 +1281,12 @@ class TestDatasetCache:
                 "--metric", "m", "--format", "csv"]
         parsed = run_cli(argv, capsys)
         [entry] = entries(dataset_cache)
-        order, labels, packed = marshal.loads(entry.read_bytes()[32:])
-        payload = marshal.dumps((order, labels, array("d", [v + 1 for v in array("d", packed)])), 4)
+        order, groups = dataset._unpack_groups(marshal.loads(entry.read_bytes()[32:]))
+        groups = {package: {metric: {version: [value + 1 for value in values]
+                                     for version, values in by_version.items()}
+                            for metric, by_version in by_metric.items()}
+                  for package, by_metric in groups.items()}
+        payload = marshal.dumps(dataset._pack_groups(order, groups), 4)
         forged = hashlib.sha256(payload).digest() + payload  # an entry anyone could write
         entry.write_bytes(forged)
         if folder == "open to others":
