@@ -16,14 +16,15 @@ import os
 import stat
 import sys
 import tempfile
+from array import array
 from collections import Counter
 from pathlib import Path
 
-from . import __version__, dataset, report
+from . import __version__, dataset, halstead, report
 from .dataset import CSV_HEADER, STATISTICS, load_csv, load_manifest, per_version
 from .diversity import evenness, gini_simpson, richness, shannon, simpson
 from .errors import AnalysisError, InputError
-from .halstead import extract_file
+from .halstead import TokenCounts
 from .inequality import DEFAULT_EPSILON, inequality_report
 from .svgplot import render_svg
 from .trend import DEFAULT_ALPHA, NO_TREND
@@ -59,18 +60,20 @@ def _load_inputs(manifest_path: str, data_path: str) -> tuple[tuple[str, ...], d
     return order, groups, {"manifest": manifest_stamp, "data": data_stamp}
 
 
-# names the framing _load_dataset gives an entry; dataset.py's bytes, in the key, cover the rest
+# names the framing _write_entry gives an entry; dataset.py's bytes, in the key, cover the rest
 _CACHE_FORMAT = "evometrics-dataset-2"
 _CACHE_ENTRIES = 8  # datasets kept; the oldest written beyond them are deleted
+# names the packing of a counts entry; halstead.py's bytes, in the key, cover the lexer's rules
+_COUNTS_FORMAT = "evometrics-counts-1"
+_COUNTS_TEXTS = 1 << 16  # texts a counts entry keeps: the last counting run's, then the newest
 
 
-def _cache_entry(data_sha256: str, version_order: tuple[str, ...] | None) -> Path:
-    """The cache file of ``load_csv`` over the data with this sha256 against this manifest.
+def _cache_folder() -> Path:
+    """The user's cache folder, created with mode 0700 where it is missing.
 
-    The key also covers the interpreter and byte order, whose formats the entry
-    is in, and the bytes of ``dataset.py``, whose rules the parse applied. Raises
-    OSError where there is no cache directory to be had, or where its directory is
-    not the user's own and closed to everyone else: an entry there may not be ours.
+    Raises OSError where there is no cache directory to be had, or where the
+    folder is not the user's own and closed to everyone else: an entry there may
+    not be ours.
     """
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):  # unset, empty or relative: the XDG default
@@ -83,9 +86,45 @@ def _cache_entry(data_sha256: str, version_order: tuple[str, ...] | None) -> Pat
     owner = os.geteuid() if hasattr(os, "geteuid") else None  # no owners to check: no cache
     if info.st_uid != owner or info.st_mode & 0o077:
         raise PermissionError(f"{folder} is not private to its user")
+    return folder
+
+
+def _cache_name(*key) -> str:
+    """The file name, less its suffix, of the entry under ``key``: the sha256 of its JSON."""
+    return hashlib.sha256(json.dumps(list(key)).encode()).hexdigest()
+
+
+def _read_entry(entry: Path) -> object:
+    """The payload of an entry ``_write_entry`` made.
+
+    Raises OSError, EOFError, ValueError or TypeError where the entry cannot be
+    read, does not match its sha256 or does not unmarshal.
+    """
+    blob = entry.read_bytes()
+    payload = memoryview(blob)[32:]
+    if hashlib.sha256(payload).digest() != blob[:32]:
+        raise ValueError(f"{entry} does not match its sha256")
+    return marshal.loads(payload)
+
+
+def _write_entry(entry: Path, payload: object) -> None:
+    """Replace ``entry`` with the sha256 of the marshalled payload, then that payload."""
+    data = marshal.dumps(payload, 4)
+    _replace_file(str(entry), hashlib.sha256(data).digest() + data)
+
+
+def _cache_entry(data_sha256: str, version_order: tuple[str, ...] | None) -> Path:
+    """The cache file of ``load_csv`` over the data with this sha256 against this manifest.
+
+    The key also covers the interpreter and byte order, whose formats the entry
+    is in, and the bytes of ``dataset.py``, whose rules the parse applied. Raises
+    OSError as ``_cache_folder`` does.
+    """
+    folder = _cache_folder()
     parser = hashlib.sha256(Path(dataset.__file__).read_bytes()).hexdigest()
-    key = [_CACHE_FORMAT, sys.version, sys.byteorder, parser, version_order, data_sha256]
-    return folder / f"{hashlib.sha256(json.dumps(key).encode()).hexdigest()}.dataset"
+    key = _cache_name(_CACHE_FORMAT, sys.version, sys.byteorder, parser, version_order,
+                      data_sha256)
+    return folder / f"{key}.dataset"
 
 
 def _load_dataset(path: str,
@@ -117,10 +156,7 @@ def _load_dataset(path: str,
         entry = None
     else:
         try:
-            blob = entry.read_bytes()
-            payload = memoryview(blob)[32:]
-            if hashlib.sha256(payload).digest() == blob[:32]:
-                return *dataset._unpack_groups(marshal.loads(payload)), stamp
+            return *dataset._unpack_groups(_read_entry(entry)), stamp
         except (OSError, EOFError, ValueError, TypeError):
             pass
     text = _decode(path, data)
@@ -129,9 +165,8 @@ def _load_dataset(path: str,
     order, groups = ds.version_order, ds._groups
     del ds, text  # the records and text are freed before the entry is made
     if entry is not None:
-        payload = marshal.dumps(dataset._pack_groups(order, groups), 4)
         try:
-            _replace_file(str(entry), hashlib.sha256(payload).digest() + payload)
+            _write_entry(entry, dataset._pack_groups(order, groups))
             entries = sorted(entry.parent.glob("*.dataset"), key=lambda p: p.stat().st_mtime)
             for old in entries[:-_CACHE_ENTRIES]:
                 old.unlink(missing_ok=True)
@@ -236,10 +271,16 @@ def _discover_sources(paths: list[str]) -> tuple[list[Path], list[str], list[str
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
+            unlisted: list[OSError] = []  # folders the walk could not list, which it skips
             found = sorted(
-                p for p in path.rglob("*") if p.is_file() and p.suffix in SOURCE_SUFFIXES
+                p for folder, _, names in os.walk(path, onerror=unlisted.append)
+                for p in map(Path(folder).joinpath, names)
+                if p.is_file() and p.suffix in SOURCE_SUFFIXES
             )
-            if not found:
+            for exc in unlisted:
+                failures.append(f"{Path(exc.filename).as_posix()}: cannot list: "
+                                f"{exc.strerror or exc}")
+            if not found and not unlisted:
                 warnings.append(f"{raw}: no source files found")
             files.extend(found)
         elif path.is_file():
@@ -254,41 +295,134 @@ def _discover_sources(paths: list[str]) -> tuple[list[Path], list[str], list[str
     return list(unique.values()), warnings, failures
 
 
+def _unpack_counts(payload: object) -> tuple[dict[bytes, int], array]:
+    """The index (text sha256 -> offset of its counts) and counts of a counts entry.
+
+    Raises ValueError on any other shape than a pair of bytes, 32 of digest and
+    32 of counts (four signed 64-bit integers) per text, with no text twice and
+    no count negative.
+    """
+    if not isinstance(payload, tuple) or len(payload) != 2:
+        raise ValueError("not a pair")
+    digests, packed = payload
+    if (not isinstance(digests, bytes) or not isinstance(packed, bytes)
+            or len(digests) % 32 or len(packed) != len(digests)):
+        raise ValueError("not 32 bytes of digest and 32 of counts per text")
+    values = array("q", packed)
+    if min(values, default=0) < 0:
+        raise ValueError("a negative count")
+    index = dict(zip([digests[i:i + 32] for i in range(0, len(digests), 32)],
+                     range(0, len(values), 4)))
+    if len(index) * 32 != len(digests):
+        raise ValueError("a text stored twice")
+    return index, values
+
+
+class _CountsTable:
+    """The Halstead counts of source texts, by the sha256 of the text the lexer reads,
+    kept across runs in one cache entry.
+
+    The entry's key covers the interpreter, whose Unicode tables the lexer's word
+    class follows, the byte order its counts are packed in and the bytes of
+    ``halstead.py``, whose rules counted them. An entry that cannot be read,
+    checked or unpacked is an empty table. A text that does not tokenize is never
+    stored, so its error always comes from the lexer; degenerate counts are.
+    """
+
+    def __init__(self):
+        self.index: dict[bytes, int] = {}
+        self.values = array("q")
+        self.counted: dict[bytes, TokenCounts] = {}  # this run's texts, in the order first read
+        self.missed = False  # whether this run lexed a text the entry lacked
+        try:
+            lexer = hashlib.sha256(Path(halstead.__file__).read_bytes()).hexdigest()
+            key = _cache_name(_COUNTS_FORMAT, sys.version, sys.byteorder, lexer)
+            self.entry: Path | None = _cache_folder() / f"{key}.counts"
+        except OSError:
+            self.entry = None
+            return
+        try:
+            self.index, self.values = _unpack_counts(_read_entry(self.entry))
+        except (OSError, EOFError, ValueError, TypeError):
+            pass
+
+    def counts(self, text: str, entity: str) -> TokenCounts:
+        """The counts of ``text``, lexed only where the table lacks them; raises as
+        ``halstead._entity_counts`` does."""
+        digest = hashlib.sha256(text.encode("utf-8")).digest()
+        counts = self.counted.get(digest)
+        if counts is None:
+            at = self.index.get(digest)
+            if at is None:
+                counts = halstead._entity_counts(text, entity)
+                self.missed = True
+            else:
+                counts = TokenCounts(*self.values[at:at + 4])
+            self.counted[digest] = counts
+        return counts
+
+    def save(self) -> None:
+        """Where this run lexed a text the entry lacked, rewrite the entry: this run's texts
+        first, then the entry's others, up to ``_COUNTS_TEXTS``. A failed write is ignored."""
+        if self.entry is None or not self.missed:
+            return
+        run = list(self.counted.items())[:_COUNTS_TEXTS]
+        digests = [digest for digest, _ in run]
+        values = array("q", [n for _, c in run for n in (c.n1, c.n2, c.N1, c.N2)])
+        for digest, at in self.index.items():
+            if len(digests) == _COUNTS_TEXTS:
+                break
+            if digest not in self.counted:
+                digests.append(digest)
+                values.extend(self.values[at:at + 4])
+        try:
+            _write_entry(self.entry, (b"".join(digests), values.tobytes()))
+        except OSError:
+            pass
+
+
 def cmd_extract(args) -> int:
     """Halstead records for the given sources, as dataset-format CSV rows.
 
     Degenerate files (nothing to count) are skipped with a warning;
-    unreadable or untokenizable files, and paths no CSV row can carry (not
-    valid UTF-8, or holding a comma or a line break), are reported as errors
-    and the command exits 2, after processing everything else.
+    unreadable or untokenizable files, folders that cannot be listed, and
+    paths no CSV row can carry (not valid UTF-8, or holding a comma or a line
+    break), are reported as errors and the command exits 2, after processing
+    everything else. A text counted before is not lexed again: its counts come
+    from the user's cache (``_CountsTable``).
     """
     for label, value in (("version", args.src_version), ("package", args.package)):
         if fault := dataset._field_break(value):
             raise InputError(f"{label} label contains {fault}: {value!r}")
     files, warnings, failures = _discover_sources(args.paths)
+    table = _CountsTable()
     records = []
-    for path in files:
-        entity = path.as_posix()
-        try:
-            entity.encode("utf-8")  # undecodable bytes of the name stand as lone surrogates
-        except UnicodeEncodeError:
-            shown = os.fsencode(entity).decode("utf-8", "backslashreplace")
-            failures.append(f"{shown}: path is not valid UTF-8")
-            continue
-        if fault := dataset._field_break(entity):
-            failures.append(f"{entity}: path contains {fault}")
-            continue
-        try:
-            text = path.read_text(encoding="utf-8-sig")  # a BOM is not source
-        except (OSError, UnicodeDecodeError) as exc:
-            failures.append(f"{entity}: {exc}")
-            continue
-        try:
-            records.extend(extract_file(text, args.src_version, args.package, entity))
-        except AnalysisError as exc:
-            warnings.append(f"skipped {exc}")
-        except InputError as exc:
-            failures.append(str(exc))
+    with dataset._acyclic():  # match tuples, counts and records hold no cycles
+        for path in files:
+            entity = path.as_posix()
+            try:
+                entity.encode("utf-8")  # undecodable bytes of the name stand as lone surrogates
+            except UnicodeEncodeError:
+                shown = os.fsencode(entity).decode("utf-8", "backslashreplace")
+                failures.append(f"{shown}: path is not valid UTF-8")
+                continue
+            if fault := dataset._field_break(entity):
+                failures.append(f"{entity}: path contains {fault}")
+                continue
+            try:
+                text = path.read_text(encoding="utf-8-sig")  # a BOM is not source
+            except (OSError, UnicodeDecodeError) as exc:
+                failures.append(f"{entity}: {exc}")
+                continue
+            try:
+                counts = table.counts(text, entity)
+                records.extend(halstead._entity_records(counts, args.src_version, args.package,
+                                                        entity))
+            except AnalysisError as exc:
+                warnings.append(f"skipped {exc}")
+            except InputError as exc:
+                failures.append(str(exc))
+    table.save()
     records.sort(key=lambda r: r.entity)
     for message in warnings:  # before the write, which a refusal would end
         print(f"warning: {message}", file=sys.stderr)

@@ -234,11 +234,26 @@ def extract_file(source_text: str, version: str, package: str, entity: str) -> l
     Emits one record per Halstead metric; errors are annotated with the
     entity so callers can report which file failed.
     """
+    return _entity_records(_entity_counts(source_text, entity), version, package, entity)
+
+
+def _entity_counts(source_text: str, entity: str) -> TokenCounts:
+    """``_source_counts(source_text)``; an unterminated comment or literal is an InputError
+    that names the entity."""
     try:
-        counts = _source_counts(source_text)
+        return _source_counts(source_text)
+    except InputError as exc:
+        raise InputError(f"{entity}: {exc}") from exc
+
+
+def _entity_records(counts: TokenCounts, version: str, package: str,
+                    entity: str) -> list[Record]:
+    """The seven records of one file's counts; degenerate counts are an AnalysisError that
+    names the entity."""
+    try:
         measures = halstead_measures(counts)
-    except (AnalysisError, InputError) as exc:
-        raise type(exc)(f"{entity}: {exc}") from exc
+    except AnalysisError as exc:
+        raise AnalysisError(f"{entity}: {exc}") from exc
     values = (counts.n1, counts.n2, counts.N1, counts.N2,
               measures.volume, measures.difficulty, measures.effort)
     return [Record(version, package, entity, metric, float(value))

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from evometrics import cli, dataset, gini, load_csv, load_manifest, pietra, run_pipeline
+from evometrics import cli, dataset, gini, halstead, load_csv, load_manifest, pietra, run_pipeline
 from evometrics.cli import main
 from evometrics.dataset import version_slices
 
@@ -793,6 +793,48 @@ class TestExtractCommand:
         assert entities == sorted(entities)
         assert not any(e.endswith("notes.txt") for e in entities)
 
+    def test_traversal_finds_what_a_recursive_glob_finds(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name in ("t/b.c", "t/a.cc", "t/.hidden.h", "t/sub/deep/c.hh", "t/sub/n.txt",
+                     "outside/o.c", "t/z/y.c"):
+            Path(name).parent.mkdir(parents=True, exist_ok=True)
+            Path(name).write_text("x = y;\n")
+        Path("t/dir.c").mkdir()  # a folder with a source suffix is no file
+        Path("t/link.c").symlink_to("../outside/o.c")  # a symlink to a file is a file
+        Path("t/broken.c").symlink_to("missing.c")
+        Path("t/outlink").symlink_to("../outside", target_is_directory=True)  # not walked
+        os.mkfifo("t/fifo.c")
+        for raw in ("t", "t/", "./t", str(tmp_path / "t")):
+            files, warnings, failures = cli._discover_sources([raw])
+            found = sorted(p for p in Path(raw).rglob("*")
+                           if p.is_file() and p.suffix in cli.SOURCE_SUFFIXES)
+            assert (files, warnings, failures) == (found, [], []), raw
+            assert Path(raw, "link.c") in files and Path(raw, "outlink", "o.c") not in files
+
+    @pytest.mark.parametrize("unlisted", ["sub", "."])
+    def test_a_folder_that_cannot_be_listed_is_an_error(self, tmp_path, capsys, monkeypatch,
+                                                        unlisted):
+        tree = tmp_path / "tree"
+        (tree / "sub").mkdir(parents=True)
+        (tree / "a.c").write_text("a = b + c;\n")
+        (tree / "sub" / "b.c").write_text("x = y;\n")
+        argv = ["--version", "v1", "--package", "p"]
+        rows = run_cli(["extract", str(tree / "a.c"), *argv], capsys)[1]
+        if unlisted == ".":
+            rows = HEADER
+        real_scandir = os.scandir
+        closed = tree / unlisted
+
+        def scandir(path="."):  # as for a folder without read permission, which root ignores
+            if Path(path) == closed:
+                raise PermissionError(errno.EACCES, "Permission denied", os.fspath(path))
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        code, out, err = run_cli(["extract", str(tree), *argv], capsys)
+        shown = Path(os.path.normpath(closed)).as_posix()
+        assert (code, out, err) == (2, rows, f"error: {shown}: cannot list: Permission denied\n")
+
     def test_file_named_twice_is_extracted_once(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         tree = Path("t")
@@ -1377,6 +1419,227 @@ class TestDatasetCache:
         assert run_cli(argv, capsys) == expected
         assert run_cli(argv, capsys) == expected
         assert count_loads[0] == 2
+
+
+# one source of each kind the reader or the lexer treats apart; keyed by file name
+COUNTED_SOURCES = {
+    "lf.c": b"int a = b + c;\n",
+    "crlf.c": b"int x = y;\r\n/* two\r\n lines */ x += 'c';\r\n",
+    "cr.c": b"int x = y;\r// a note\rx -= 2;\r",
+    "bom.cc": "\ufeff#include <x.h>\nint z = 1;\n".encode(),
+    "empty.h": b"#ifndef G_H\r\n#define G_H\r\n#endif\r\n",  # degenerate: nothing to count
+    "open.c": b"int a;\r\nint b;\r/* never closed\r\n",  # untokenizable, on line 3
+    "latin1.c": b"a = '\xe9';\n",  # not UTF-8
+    "same.cc": b"int a = b + c;\n",  # the text of lf.c again
+    "crlf-twin.c": b"int x = y;\n/* two\n lines */ x += 'c';\n",  # crlf.c as the lexer reads it
+}
+
+
+def counts_entries(cache):
+    return sorted((cache / "evometrics").glob("*.counts"))
+
+
+@pytest.fixture
+def count_lexes(monkeypatch):
+    """The texts the lexer has counted, in order."""
+    lexed = []
+    real = halstead._source_counts
+
+    def counting(source):
+        lexed.append(source)
+        return real(source)
+
+    monkeypatch.setattr(halstead, "_source_counts", counting)
+    return lexed
+
+
+class TestCountsCache:
+    def run(self, tree, capsys, output):
+        code, out, err = run_cli(["extract", str(tree), "--version", "v1", "--package", "p",
+                                  "--output", str(output)], capsys)
+        return code, out, err, output.read_bytes()
+
+    def tree(self, tmp_path, sources=COUNTED_SOURCES):
+        tree = tmp_path / "tree"
+        tree.mkdir(exist_ok=True)
+        for name, data in sources.items():
+            (tree / name).write_bytes(data)
+        return tree
+
+    def test_a_hit_lexes_only_what_does_not_tokenize(self, tmp_path, capsys, dataset_cache,
+                                                     count_lexes):
+        tree = self.tree(tmp_path)
+        miss = self.run(tree, capsys, tmp_path / "miss.csv")
+        code, _, err, rows = miss
+        assert code == 2 and len(load_csv(rows.decode()).records) == 7 * 6
+        assert err.splitlines() == [
+            f"warning: skipped {tree.as_posix()}/empty.h: degenerate counts: no operands",
+            f"error: {tree.as_posix()}/latin1.c: 'utf-8' codec can't decode byte 0xe9 in "
+            "position 5: invalid continuation byte",
+            f"error: {tree.as_posix()}/open.c: line 3: unterminated block comment",
+        ]
+        assert len(count_lexes) == 6  # one per distinct text that decodes
+        [entry] = counts_entries(dataset_cache)
+        assert len(cli._unpack_counts(marshal.loads(entry.read_bytes()[32:]))[0]) == 5
+        os.utime(entry, (1, 1))
+        count_lexes.clear()
+        assert self.run(tree, capsys, tmp_path / "hit.csv") == miss
+        assert count_lexes == [(tree / "open.c").read_text()]  # for its error and line
+        assert entry.stat().st_mtime == 1  # a run that lexed nothing new writes nothing
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "empty", "flipped", "not-a-pair", "digests-not-bytes", "odd-length",
+        "counts-short", "negative", "text-twice",
+    ])
+    def test_a_damaged_entry_is_an_empty_table_and_is_rewritten(
+        self, tmp_path, capsys, dataset_cache, count_lexes, damage
+    ):
+        tree = self.tree(tmp_path)
+        miss = self.run(tree, capsys, tmp_path / "miss.csv")
+        [entry] = counts_entries(dataset_cache)
+        good = entry.read_bytes()
+        digests, packed = marshal.loads(good[32:])
+        payload = {
+            "not-a-pair": [digests, packed],
+            "digests-not-bytes": (digests.hex(), packed),
+            "odd-length": (digests + b"\0", packed + b"\0"),
+            "counts-short": (digests, packed[:-8]),
+            "negative": (digests, array("q", [-1] * (len(packed) // 8)).tobytes()),
+            "text-twice": (digests * 2, packed * 2),
+        }.get(damage)
+        if payload is not None:  # framed well, with a checksum that holds, but the wrong shape
+            blob = marshal.dumps(payload, 4)
+            entry.write_bytes(hashlib.sha256(blob).digest() + blob)
+        else:
+            entry.write_bytes({"truncated": good[: len(good) // 2], "empty": b"",
+                               "flipped": good[:-1] + bytes([good[-1] ^ 1])}[damage])
+        count_lexes.clear()
+        assert self.run(tree, capsys, tmp_path / "again.csv") == miss
+        assert len(count_lexes) == 6
+        assert counts_entries(dataset_cache) == [entry] and entry.read_bytes() == good
+
+    @pytest.mark.parametrize("folder", ["open to others", "another user's", "unwritable",
+                                        "a regular file"])
+    def test_a_folder_the_cache_cannot_use_changes_no_output(
+        self, tmp_path, capsys, dataset_cache, monkeypatch, count_lexes, folder
+    ):
+        tree = self.tree(tmp_path)
+        miss = self.run(tree, capsys, tmp_path / "miss.csv")
+        [entry] = counts_entries(dataset_cache)
+        digests, packed = marshal.loads(entry.read_bytes()[32:])
+        values = array("q", packed)
+        values[0::4] = array("q", [n + 1 for n in values[0::4]])  # every n1 one higher
+        blob = marshal.dumps((digests, values.tobytes()), 4)
+        forged = hashlib.sha256(blob).digest() + blob  # well made: read from a private folder
+        entry.write_bytes(forged)
+        real_geteuid, real_mkstemp = os.geteuid, tempfile.mkstemp
+        if folder == "open to others":
+            (dataset_cache / "evometrics").chmod(0o777)
+        elif folder == "another user's":
+            monkeypatch.setattr(os, "geteuid", lambda: real_geteuid() + 1)
+        elif folder == "unwritable":
+            entry.unlink()
+
+            def mkstemp(*args, dir=None, **kwargs):
+                if Path(dir) == entry.parent:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return real_mkstemp(*args, dir=dir, **kwargs)
+
+            monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+        else:
+            location = tmp_path / "not-a-folder"
+            location.write_text("")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(location))
+        count_lexes.clear()
+        runs = [self.run(tree, capsys, tmp_path / f"run{i}.csv") for i in range(2)]
+        assert runs == [miss, miss] and len(count_lexes) == 2 * 6  # each run lexes all
+        if folder == "unwritable":
+            assert counts_entries(dataset_cache) == []
+            assert list(entry.parent.glob(".*.tmp")) == []
+        else:
+            assert entry.read_bytes() == forged
+        if folder in ("open to others", "another user's"):
+            (dataset_cache / "evometrics").chmod(0o700)
+            monkeypatch.setattr(os, "geteuid", real_geteuid)
+            code, _, _, rows = self.run(tree, capsys, tmp_path / "forged.csv")
+            assert code == 2 and rows != miss[3]  # so the runs above did not read the entry
+
+    def test_an_edited_file_is_counted_again(self, tmp_path, capsys, dataset_cache,
+                                             count_lexes):
+        sources = {"a.c": b"int a = b + c;\n", "b.c": b"x = y;\n"}
+        tree = self.tree(tmp_path, sources)
+        before = self.run(tree, capsys, tmp_path / "before.csv")
+        (tree / "b.c").write_bytes(b"x = y * z;\n")
+        count_lexes.clear()
+        after = self.run(tree, capsys, tmp_path / "after.csv")
+        assert count_lexes == ["x = y * z;\n"]
+        assert (before[0], after[0]) == (0, 0)
+        rows = [{(r.entity, r.metric): r.value for r in load_csv(run[3].decode()).records}
+                for run in (before, after)]
+        for (entity, metric), value in rows[0].items():
+            assert (rows[1][entity, metric] == value) == entity.endswith("a.c"), metric
+        [entry] = counts_entries(dataset_cache)
+        index, _ = cli._unpack_counts(marshal.loads(entry.read_bytes()[32:]))
+        this_run = [hashlib.sha256(text).digest() for text in (sources["a.c"], b"x = y * z;\n")]
+        assert list(index) == [*this_run, hashlib.sha256(sources["b.c"]).digest()]
+
+    @pytest.mark.parametrize("change", ["lexer", "interpreter"])
+    def test_a_changed_lexer_or_interpreter_is_another_entry(
+        self, tmp_path, capsys, dataset_cache, monkeypatch, count_lexes, change
+    ):
+        tree = self.tree(tmp_path)
+        miss = self.run(tree, capsys, tmp_path / "miss.csv")
+        [first] = counts_entries(dataset_cache)
+        if change == "lexer":
+            edited = tmp_path / "halstead.py"
+            edited.write_bytes(Path(halstead.__file__).read_bytes() + b"# one more byte\n")
+            monkeypatch.setattr(halstead, "__file__", str(edited))
+        else:
+            monkeypatch.setattr(sys, "version", sys.version + " (another build)")
+        count_lexes.clear()
+        assert self.run(tree, capsys, tmp_path / "changed.csv") == miss
+        assert len(count_lexes) == 6
+        entries_now = counts_entries(dataset_cache)
+        assert len(entries_now) == 2 and first in entries_now
+        assert self.run(tree, capsys, tmp_path / "hit.csv") == miss
+        assert len(count_lexes) == 6 + 1  # the second run lexes only open.c
+
+    def test_the_entry_keeps_the_last_run_first_up_to_the_cap(self, tmp_path, capsys,
+                                                              dataset_cache, monkeypatch,
+                                                              count_lexes):
+        monkeypatch.setattr(cli, "_COUNTS_TEXTS", 3)
+
+        def source(k):
+            return f"int v{k} = {k};\n".encode()
+
+        runs = [[0, 1], [2, 3], [2], [4, 5, 6, 7], [8, 5]]
+        expected = [[0, 1], [2, 3, 0], [2, 3, 0], [4, 5, 6], [5, 8, 4]]  # files in path order
+        for n, (ks, keep) in enumerate(zip(runs, expected)):
+            tree = tmp_path / f"tree{n}"
+            tree.mkdir()
+            for k in ks:
+                (tree / f"f{k}.c").write_bytes(source(k))
+            count_lexes.clear()
+            assert self.run(tree, capsys, tmp_path / f"run{n}.csv")[0] == 0
+            [entry] = counts_entries(dataset_cache)
+            index, values = cli._unpack_counts(marshal.loads(entry.read_bytes()[32:]))
+            assert list(index) == [hashlib.sha256(source(k)).digest() for k in keep], n
+            assert list(values) == [3, 2, 3, 2] * len(keep)  # int = ; and v_k, k
+            assert len(count_lexes) == {0: 2, 1: 2, 2: 0, 3: 4, 4: 1}[n]
+
+    def test_dataset_eviction_leaves_the_counts_entry(self, tmp_path, capsys, dataset_cache):
+        tree = self.tree(tmp_path)
+        self.run(tree, capsys, tmp_path / "miss.csv")
+        [entry] = counts_entries(dataset_cache)
+        os.utime(entry, (1, 1))  # older than every dataset entry
+        good = entry.read_bytes()
+        versions, rows = cache_rows()
+        for i in range(cli._CACHE_ENTRIES + 2):
+            manifest, data = write_inputs(tmp_path, versions, rows + [f"v1,r,e{i},m,1"])
+            assert run_cli(["inequality", "--manifest", manifest, "--data", data,
+                            "--package", "p", "--metric", "m"], capsys)[0] == 0
+        assert len(entries(dataset_cache)) == cli._CACHE_ENTRIES
+        assert counts_entries(dataset_cache) == [entry] and entry.read_bytes() == good
 
 
 class TestCommandFunctions:
