@@ -363,7 +363,9 @@ class _CountsTable:
 
     def save(self) -> None:
         """Where this run lexed a text the entry lacked, rewrite the entry: this run's texts
-        first, then the entry's others, up to ``_COUNTS_TEXTS``. A failed write is ignored."""
+        first, then the entry's others, up to ``_COUNTS_TEXTS``. Once it is written, the
+        entries under other keys (an older lexer, another interpreter) are deleted. A failed
+        write or delete is ignored."""
         if self.entry is None or not self.missed:
             return
         run = list(self.counted.items())[:_COUNTS_TEXTS]
@@ -377,6 +379,9 @@ class _CountsTable:
                 values.extend(self.values[at:at + 4])
         try:
             _write_entry(self.entry, (b"".join(digests), values.tobytes()))
+            for other in self.entry.parent.glob("*.counts"):
+                if other != self.entry:
+                    other.unlink(missing_ok=True)
         except OSError:
             pass
 

@@ -1584,12 +1584,17 @@ class TestCountsCache:
         assert list(index) == [*this_run, hashlib.sha256(sources["b.c"]).digest()]
 
     @pytest.mark.parametrize("change", ["lexer", "interpreter"])
-    def test_a_changed_lexer_or_interpreter_is_another_entry(
+    def test_a_changed_lexer_or_interpreter_replaces_the_entry(
         self, tmp_path, capsys, dataset_cache, monkeypatch, count_lexes, change
     ):
         tree = self.tree(tmp_path)
         miss = self.run(tree, capsys, tmp_path / "miss.csv")
         [first] = counts_entries(dataset_cache)
+        manifest, data = write_inputs(tmp_path, *cache_rows())
+        assert run_cli(["inequality", "--manifest", manifest, "--data", data,
+                        "--package", "p", "--metric", "m"], capsys)[0] == 0
+        datasets = entries(dataset_cache)
+        assert len(datasets) == 1
         if change == "lexer":
             edited = tmp_path / "halstead.py"
             edited.write_bytes(Path(halstead.__file__).read_bytes() + b"# one more byte\n")
@@ -1599,10 +1604,11 @@ class TestCountsCache:
         count_lexes.clear()
         assert self.run(tree, capsys, tmp_path / "changed.csv") == miss
         assert len(count_lexes) == 6
-        entries_now = counts_entries(dataset_cache)
-        assert len(entries_now) == 2 and first in entries_now
+        [second] = counts_entries(dataset_cache)  # the old lexer's entry is deleted
+        assert second != first and entries(dataset_cache) == datasets
         assert self.run(tree, capsys, tmp_path / "hit.csv") == miss
         assert len(count_lexes) == 6 + 1  # the second run lexes only open.c
+        assert counts_entries(dataset_cache) == [second]
 
     def test_the_entry_keeps_the_last_run_first_up_to_the_cap(self, tmp_path, capsys,
                                                               dataset_cache, monkeypatch,
