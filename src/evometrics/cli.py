@@ -163,7 +163,7 @@ def _load_dataset(path: str,
     del data  # the bytes are freed before the parse
     ds = load_csv(text, version_order)
     order, groups = ds.version_order, ds._groups
-    del ds, text  # the records and text are freed before the entry is made
+    del ds, text  # the label and value columns and the text are freed before the entry is made
     if entry is not None:
         try:
             _write_entry(entry, dataset._pack_groups(order, groups))

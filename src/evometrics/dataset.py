@@ -15,12 +15,13 @@ import json
 import math
 import statistics
 from array import array
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import inequality
 from .errors import AnalysisError, InputError
@@ -28,7 +29,7 @@ from .inequality import DEFAULT_EPSILON, InequalityReport
 from .trend import DEFAULT_ALPHA, TrendResult, mk_test
 
 CSV_HEADER = ("version", "package", "entity", "metric", "value")
-_ENTITY, _VALUE = itemgetter(2), itemgetter(4)  # of a Record; faster than attrgetter
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)  # of a release's (entity, value) pairs
 
 
 class Record(NamedTuple):
@@ -43,9 +44,12 @@ class Record(NamedTuple):
 class MetricsDataset:
     """Immutable record table plus the analysis order of its versions.
 
-    The first lookup groups all records by package, metric and version in
-    one pass and sorts each group by entity; every lookup copies one list per
-    version.
+    Lookups read one grouping: package -> metric -> version -> the values, in
+    entity order. ``load_csv`` builds it as it parses, and keeps besides it only
+    the label and value columns, from which ``records`` is built on first read.
+    A dataset made from records groups them on its first lookup, by the same
+    routine (``_group``, ``_sort``, ``_values``). Every lookup copies one list
+    per version.
     """
 
     records: tuple[Record, ...]
@@ -57,17 +61,55 @@ class MetricsDataset:
 
         The sort is stable, so the records of one entity keep their file order.
         """
-        groups: dict = {}
-        for r in self.records:
-            try:
-                groups[r.package][r.metric][r.version].append(r)
-            except KeyError:
-                groups.setdefault(r.package, {}).setdefault(r.metric, {})[r.version] = [r]
-        for by_metric in groups.values():
-            for by_version in by_metric.values():
-                for version, group in by_version.items():
-                    by_version[version] = list(map(_VALUE, sorted(group, key=_ENTITY)))
-        return groups
+        groups = _group({}, self.records)
+        _sort(groups)
+        return _values(groups)
+
+    def __getattr__(self, name: str) -> tuple[Record, ...]:
+        """``records`` of a dataset ``load_csv`` made, built from its columns on first read."""
+        columns = self.__dict__.get("_columns") if name == "records" else None
+        if columns is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        with _acyclic():
+            records = tuple(map(tuple.__new__, repeat(Record), zip(*columns)))
+        object.__setattr__(self, "records", records)
+        return records
+
+
+def _group(groups: dict, rows: Iterable[tuple]) -> dict:
+    """``groups`` with each (version, package, entity, metric, value) row's (entity, value)
+    appended to its release: package -> metric -> version -> pairs, in row order."""
+    for version, package, entity, metric, value in rows:
+        try:
+            groups[package][metric][version].append((entity, value))
+        except KeyError:
+            groups.setdefault(package, {}).setdefault(metric, {})[version] = [(entity, value)]
+    return groups
+
+
+def _sort(groups: dict) -> set[tuple[str, str, str, str]]:
+    """Sorts the pairs of each release of a ``_group`` result by entity, stably, and returns
+    the (version, package, entity, metric) keys that more than one pair holds."""
+    repeated = set()
+    for package, by_metric in groups.items():
+        for metric, by_version in by_metric.items():
+            for version, pairs in by_version.items():
+                pairs.sort(key=_FIRST)
+                entities = list(map(_FIRST, pairs))
+                if len(set(entities)) != len(entities):
+                    repeated.update((version, package, entity, metric)
+                                    for entity, later in zip(entities, entities[1:])
+                                    if entity == later)
+    return repeated
+
+
+def _values(groups: dict) -> dict:
+    """``groups`` with the pairs of each release replaced by their values."""
+    for by_metric in groups.values():
+        for by_version in by_metric.values():
+            for version, pairs in by_version.items():
+                by_version[version] = list(map(_SECOND, pairs))
+    return groups
 
 
 def _pack_groups(order: tuple[str, ...], groups: dict) -> tuple:
@@ -181,6 +223,12 @@ def load_manifest(text: str) -> tuple[str, ...]:
 _CHUNK_CHARS = 1 << 18  # load_csv parses its text this many characters at a time, to the next "\n"
 
 
+def _chunk_end(text: str, start: int) -> int:
+    """Where the chunk of ``text`` from ``start`` ends: just after the first line feed at
+    least ``_CHUNK_CHARS`` characters on, or at the end (a "\r\n" never straddles two)."""
+    return text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
+
+
 def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDataset:
     """Parse a long-format metrics table.
 
@@ -197,16 +245,21 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
     one shared string object.
 
     The body is parsed in chunks of about 2**18 characters, each ending just
-    after a line feed. So beyond the text, the records and one key per
-    record for the duplicate check, a load's memory is bounded by the chunk,
-    not by the file; a refusal's too, since a chunk that fails a column-wise
-    yes/no check is read again, line by line, to find its first failing line.
+    after a line feed. Each row goes straight into the grouping lookups read
+    (see ``MetricsDataset``); no record is built. Duplicates are found per
+    release once the last chunk is in: each release is sorted by entity, and
+    a key it holds twice is refused. So beyond the text, the grouping and the
+    label and value columns, a load's memory is bounded by the chunk, not by
+    the file. A refusal's too: beside the grouping of the rows before the
+    failing chunk, it keys only that chunk's rows (read again line by line,
+    with the earlier keys they repeat) or, for a duplicate, the rows of the
+    repeated keys (the text read again a chunk at a time), never every row.
     """
     known = frozenset(version_order) if version_order is not None else None
     shared: dict[str, str] = {}  # one string object per distinct label
-    records: list[Record] = []
+    groups: dict = {}  # as _group builds it, then _sort and _values
+    columns = ([], [], [], [], [])  # version, package, entity, metric, value
     implied: dict[str, None] = {}  # versions by first appearance
-    seen: set[tuple[str, ...]] = set()  # (version, package, entity, metric) of every row so far
     # the first line as the chunks below would split it; it ends at or before the first "\n"
     lines = text[: text.find("\n") + 1 or None].splitlines(keepends=True)
     if not lines or not lines[0].strip():
@@ -219,13 +272,13 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
     line, end = 2, len(lines[0])  # the next chunk's first line number, and where it starts
     with _acyclic():  # every object built below is acyclic; collecting would only rescan them
         while end < len(text):
-            start, end = end, text.find("\n", end + _CHUNK_CHARS - 1) + 1 or len(text)
-            lines = text[start:end].splitlines()  # a "\r\n" never straddles two chunks
+            start, end = end, _chunk_end(text, end)
+            lines = text[start:end].splitlines()
             first, line = line, line + len(lines)
             rows = list(filter(None, map(str.strip, lines)))  # blank lines skipped
             del lines
             if list(map(str.count, rows, repeat(","))).count(4) != len(rows):
-                raise _refusal(text[start:end], first, known, records)
+                raise _refusal(text, start, end, first, known, groups)
             joined = ",".join(rows)
             del rows
             fields = joined.split(",") if joined else []
@@ -239,23 +292,27 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
             except ValueError:
                 values = None
             del value_texts
-            before = len(seen)
-            seen.update(zip(*labels))
             if ("" in shared  # only ever from this chunk: an earlier one would have raised
                     or known is not None and not known.issuperset(versions)
-                    or values is None or not all(map(math.isfinite, values))
-                    or len(seen) - before != len(versions)):
-                raise _refusal(text[start:end], first, known, records)
-            records.extend(_records(labels, values))
+                    or values is None or not all(map(math.isfinite, values))):
+                raise _refusal(text, start, end, first, known, groups)
+            _group(groups, zip(*labels, values))
+            for column, chunk_column in zip(columns, (*labels, values)):
+                column.extend(chunk_column)
             if known is None:
                 implied.update(dict.fromkeys(versions))
+        if repeated := _sort(groups):
+            raise _first_repeat(text, repeated)
+        _values(groups)  # the pairs are freed before the cyclic GC runs again
+    ds = object.__new__(MetricsDataset)  # records are built from the columns on first read
     order = tuple(version_order) if version_order is not None else tuple(implied)
-    return MetricsDataset(records=tuple(records), version_order=order)
+    ds.__dict__.update(version_order=order, _columns=columns, _groups=groups)
+    return ds
 
 
 @contextmanager
 def _acyclic():
-    """The cyclic GC paused while records are built: they are acyclic, it would only rescan."""
+    """The cyclic GC paused while acyclic objects are built: it would only rescan them."""
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -265,18 +322,17 @@ def _acyclic():
             gc.enable()
 
 
-def _records(labels: list[list[str]], values: list[float]) -> Iterator[Record]:
-    """The records of four label columns and a value column, row by row."""
-    return map(tuple.__new__, repeat(Record), zip(*labels, values))
-
-
-def _refusal(chunk: str, first: int, known: frozenset | None, records: list) -> InputError:
-    """The refusal of a failing ``chunk``'s first line to break a rule, numbered from ``first``."""
-    rows = [(line, [f.strip() for f in text.split(",")])
-            for line, text in enumerate(chunk.splitlines(), start=first) if text.strip()]
-    keys = {tuple(fields[:4]) for _, fields in rows}
-    # of the earlier chunks' records, only those this chunk may repeat: memory bounded by it
-    seen = set(filter(keys.__contains__, map(itemgetter(0, 1, 2, 3), records)))
+def _refusal(text: str, start: int, end: int, first: int, known: frozenset | None,
+             groups: dict) -> InputError:
+    """The refusal of the first line to break a rule, where the chunk ``text[start:end]``,
+    whose first line is numbered ``first``, breaks one and ``groups`` (of ``_group``) holds
+    the rows before it."""
+    if repeated := _sort(groups):  # an earlier line repeats a key, so it fails first
+        return _first_repeat(text, repeated)
+    rows = [(line, [f.strip() for f in row.split(",")])
+            for line, row in enumerate(text[start:end].splitlines(), start=first) if row.strip()]
+    # of the earlier rows' keys, only those this chunk repeats: memory bounded by it
+    seen = set(filter(partial(_holds, groups), {tuple(fields[:4]) for _, fields in rows}))
     for line, fields in rows:
         if len(fields) != 5:
             return InputError(f"line {line}: expected 5 comma-separated fields, got {len(fields)}")
@@ -296,6 +352,33 @@ def _refusal(chunk: str, first: int, known: frozenset | None, records: list) -> 
         seen.add(key)
 
 
+def _holds(groups: dict, key: tuple) -> bool:
+    """Whether a ``_sort``-ed grouping holds the (version, package, entity, metric) ``key``."""
+    if len(key) != 4:
+        return False
+    version, package, entity, metric = key
+    pairs = groups.get(package, {}).get(metric, {}).get(version, ())
+    i = bisect_left(pairs, entity, key=_FIRST)
+    return i < len(pairs) and pairs[i][0] == entity
+
+
+def _first_repeat(text: str, repeated: set) -> InputError:
+    """The refusal of the first row of ``text`` to repeat a key of ``repeated``, read a
+    chunk at a time; only the rows of those keys are keyed."""
+    seen = set()
+    line, end = 1, 0  # the next chunk's first line number, and where it starts
+    while end < len(text):
+        start, end = end, _chunk_end(text, end)
+        lines = text[start:end].splitlines()
+        for number, row in enumerate(lines, start=line):
+            key = tuple(map(str.strip, row.split(",", 4)[:4]))
+            if number > 1 and key in repeated:  # line 1 is the header
+                if key in seen:
+                    return InputError(f"line {number}: duplicate record for {key!r}")
+                seen.add(key)
+        line += len(lines)
+
+
 def version_slices(
     ds: MetricsDataset, package: str, metric: str, drop_zeros: bool = False
 ) -> tuple[list[tuple[str, list[float]]], tuple[str, ...]]:
@@ -304,8 +387,9 @@ def version_slices(
     Returns the covered ``(version, values)`` pairs in manifest order, with
     values sorted by entity label so that record order in the file does not
     matter, and the gap versions: no records, or with ``drop_zeros`` only zeros.
-    The first lookup on ``ds`` builds its grouping (``MetricsDataset._groups``),
-    sorting each slice there; it and every later lookup copy one list per version.
+    Each lookup reads the grouping (``MetricsDataset._groups``), whose slices
+    are sorted already, and copies one list per version; ``load_csv`` builds it,
+    and a dataset made from records builds it at its first lookup.
     """
     return _slices(ds._groups, package, metric, ds.version_order, drop_zeros)
 

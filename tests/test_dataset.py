@@ -1,5 +1,6 @@
 """Tests for manifest/CSV ingestion, slicing, series building, and the pipeline."""
 
+import bisect
 import gc
 import hashlib
 import json
@@ -28,7 +29,7 @@ from evometrics import (
     run_pipeline,
     slice_distribution,
 )
-from evometrics import dataset
+from evometrics import cli, dataset
 from evometrics.dataset import CSV_HEADER, MetricsDataset, Record, version_slices
 
 HEADER = "version,package,entity,metric,value\n"
@@ -256,6 +257,16 @@ def random_csv(rng, padded):
     return (text if rng.random() < 0.8 else text.rstrip("\n")), manifest
 
 
+def assert_one_grouping(ds, reference):
+    """Every (package, metric) of a parsed dataset slices as one made from the reference
+    loader's records does: the grouping built while parsing follows the records' rule."""
+    twin = MetricsDataset(reference.records, reference.version_order)
+    for package, metric in {(r.package, r.metric) for r in reference.records}:
+        for drop_zeros in (False, True):
+            assert (version_slices(ds, package, metric, drop_zeros)
+                    == version_slices(twin, package, metric, drop_zeros)), (package, metric)
+
+
 # every refusal of load_csv, by the start of its message after "line N: "
 RULES = ("missing header", "expected header", "expected 5 comma-separated fields",
          "empty label field", "unknown version", "cannot parse value", "non-finite value",
@@ -277,6 +288,13 @@ FIRST_FAILURES = [
     (["v1,p,e,m,1", "v9,p,f,m,1", "v1,p,e,m,2"], "line 3: unknown version 'v9' (not in manifest)"),
     (["v1,p,e,m,1", "v1,,f,m,1", "v1,p,e,m,2"], "line 3: empty label field"),
     (["v1,p,e,m,1", "v1,p,f,m,x", "v1,p,e,m,inf"], "line 3: cannot parse value 'x'"),
+    # of two repeated keys, the one whose second line comes first, in or across releases
+    (["v1,q,a,n,1", "v1,p,b,m,1", "v1,p,b,m,2", "v1,q,a,n,2"],
+     "line 4: duplicate record for ('v1', 'p', 'b', 'm')"),
+    (["v1,p,b,m,1", "v1,q,a,n,1", "v1,q,a,n,2", "v1,p,b,m,2"],
+     "line 4: duplicate record for ('v1', 'q', 'a', 'n')"),
+    (["v1,p,b,m,1", "v1,p,a,m,1", "v1,p,b,m,2", "v1,p,a,m,2"],
+     "line 4: duplicate record for ('v1', 'p', 'b', 'm')"),
 ]
 
 
@@ -297,6 +315,7 @@ class TestLoadCsvContract:
                 outcomes[next(k for k in RULES if rule.startswith(k))] += 1
                 continue
             ds = load_csv(text, manifest)
+            assert_one_grouping(ds, expected)
             assert ds == expected, text
             assert all(type(r) is Record for r in ds.records)
             outcomes["loaded"] += 1
@@ -327,6 +346,7 @@ def assert_like_the_reference(text, manifest=None):
         assert str(got.value) == str(exc), text
         return str(exc)
     ds = load_csv(text, manifest)
+    assert_one_grouping(ds, expected)
     assert ds == expected, text
     assert all(type(r) is Record for r in ds.records)
     return ds
@@ -402,6 +422,26 @@ class TestLoadCsvChunks:
 
     def test_equal_labels_share_one_object_across_chunks(self, chunk):
         TestLoadCsv().test_equal_labels_share_one_object()
+
+    def test_rows_sharing_three_of_the_four_key_labels_load(self, chunk):
+        rows = ["v1,p,e,m,1", "v2,p,e,m,2", "v1,q,e,m,3", "v1,p,f,m,4", "v1,p,e,n,5"]
+        for ordered in (rows, rows[::-1]):
+            ds = assert_like_the_reference(csv_for(ordered), ["v1", "v2"])
+            assert len(ds.records) == 5
+
+    def test_a_duplicate_across_a_boundary_beats_a_later_unknown_version(self, monkeypatch):
+        monkeypatch.setattr(dataset, "_CHUNK_CHARS", 64, raising=False)
+        rows = ["v1,p,e,m,1", *(f"v1,p,e{i},m,1" for i in range(6)), "v1,p,e,m,2",
+                *(f"v1,p,f{i},m,1" for i in range(8)), "v9,p,g,m,1"]
+        text = csv_for(rows)
+        ends, end = [], len(HEADER)
+        while end < len(text):
+            end = dataset._chunk_end(text, end)
+            ends.append(end)
+        chunks = [bisect.bisect_right(ends, text.index(row)) for row in (rows[0], rows[7], rows[-1])]
+        assert chunks[0] < chunks[1] < chunks[2], chunks
+        message = assert_like_the_reference(text, ["v1"])
+        assert message == "line 9: duplicate record for ('v1', 'p', 'e', 'm')"
 
     def test_transient_memory_per_row_is_bounded(self):
         # tracemalloc counts allocations, so the figure repeats exactly. Splitting the whole
@@ -618,6 +658,54 @@ class TestLookup:
                 assert ds == twin
         finally:
             sys.setswitchinterval(interval)
+
+
+def live_records():
+    """The number of Record objects alive; the cyclic GC tracks every one."""
+    return sum(type(o) is Record for o in gc.get_objects())
+
+
+class TestRecordsOnFirstRead:
+    """A parsed dataset builds its records from its columns when ``records`` is first read."""
+
+    VERSIONS = [f"r{k}" for k in range(5)]
+    TEXT = csv_for(f"{version},{package},e{j},m,{(j + 1) * (k + 2) % 7}"
+                   for k, version in enumerate(VERSIONS) for package in ("p", "q")
+                   for j in range(6))
+
+    def test_loading_and_lookups_build_none_until_records_is_read(self):
+        before = live_records()
+        ds = load_csv(self.TEXT, self.VERSIONS)
+        result = run_pipeline(ds, "p", "m", "gini")
+        assert slice_distribution(ds, "r1", "q", "m") == [3.0, 6.0, 2.0, 5.0, 1.0, 4.0]
+        assert len(result.series.points) == 5
+        assert live_records() == before
+        records = ds.records
+        assert live_records() == before + len(records) == before + 60
+        assert records is ds.records  # built once
+        assert records == reference_load_csv(self.TEXT, self.VERSIONS).records
+        assert all(type(r) is Record for r in records)
+
+    def test_a_cli_cache_miss_builds_none(self, tmp_path, capsys, monkeypatch):
+        manifest, data = tmp_path / "manifest.json", tmp_path / "data.csv"
+        manifest.write_text(json.dumps({"versions": self.VERSIONS}))
+        data.write_text(self.TEXT)
+        loaded = []
+
+        def keeping(*args):  # holds the dataset, so records built from it would stay alive
+            loaded.append(load_csv(*args))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_csv", keeping)
+        before = live_records()
+        argv = ["trend", "--manifest", str(manifest), "--data", str(data), "--package", "q",
+                "--metric", "m"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        [ds] = loaded
+        assert "records" not in vars(ds)
+        assert live_records() == before
+        assert ds.records == reference_load_csv(self.TEXT, self.VERSIONS).records
 
 
 class TestBuildSeries:
