@@ -21,7 +21,8 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__, dataset, halstead, report
-from .dataset import CSV_HEADER, STATISTICS, load_csv, load_manifest, per_version
+from .dataset import (CSV_HEADER, STATISTICS, MetricsDataset, load_csv, load_manifest,
+                      per_version, run_pipeline, slice_distribution, version_slices)
 from .diversity import evenness, gini_simpson, richness, shannon, simpson
 from .errors import AnalysisError, InputError
 from .halstead import TokenCounts
@@ -53,11 +54,11 @@ def _decode(path: str, data: bytes) -> str:
         raise InputError(f"cannot decode {path} as UTF-8: {exc}") from exc
 
 
-def _load_inputs(manifest_path: str, data_path: str) -> tuple[tuple[str, ...], dict, dict]:
-    """The manifest's version order, the data's grouping and the report stamps of both."""
+def _load_inputs(manifest_path: str, data_path: str) -> tuple[MetricsDataset, dict]:
+    """The data's dataset, in the manifest's version order, and the report stamps of both."""
     manifest_data, manifest_stamp = _read_file(manifest_path)
-    order, groups, data_stamp = _load_dataset(data_path, _decode(manifest_path, manifest_data))
-    return order, groups, {"manifest": manifest_stamp, "data": data_stamp}
+    ds, data_stamp = _load_dataset(data_path, _decode(manifest_path, manifest_data))
+    return ds, {"manifest": manifest_stamp, "data": data_stamp}
 
 
 # names the framing _write_entry gives an entry; dataset.py's bytes, in the key, cover the rest
@@ -127,20 +128,19 @@ def _cache_entry(data_sha256: str, version_order: tuple[str, ...] | None) -> Pat
     return folder / f"{key}.dataset"
 
 
-def _load_dataset(path: str,
-                  manifest_text: str | None = None) -> tuple[tuple[str, ...], dict, dict]:
-    """The version order and grouping (``MetricsDataset._groups``) of ``load_csv`` over the
-    data file at ``path``, read back from the user's cache when it holds them, and the
-    file's report stamp.
+def _load_dataset(path: str, manifest_text: str | None = None) -> tuple[MetricsDataset, dict]:
+    """The dataset of the data file at ``path``, and the file's report stamp.
 
-    The version order is ``load_manifest(manifest_text)``; without a manifest, any
-    version is accepted. A data file that cannot be read or decoded is refused before
-    a manifest that does not parse. An entry is the sha256 of its payload, then the
-    marshalled payload of ``dataset._pack_groups``. A hit decodes no text and builds no
-    record: it reads the grouping, whose slices are in entity order already. An entry
-    that cannot be read, checked or unpacked is a miss. A miss decodes the file and
-    runs ``load_csv``, and only a dataset it accepted is stored. A cache that cannot
-    be written is not used.
+    Of the three ways ``MetricsDataset`` names to make a dataset, this takes two:
+    ``load_csv`` on a miss, and a cache entry on a hit. The version order is
+    ``load_manifest(manifest_text)``; without a manifest, any version is accepted. A
+    data file that cannot be read or decoded is refused before a manifest that does
+    not parse. An entry is the sha256 of its payload, then the marshalled payload of
+    ``dataset._pack_groups``. A hit decodes no text and builds no record: its dataset
+    (``dataset._unpack_groups``) holds only the grouping, whose slices are in entity
+    order already, and has no ``records``. An entry that cannot be read, checked or
+    unpacked is a miss. A miss decodes the file and runs ``load_csv``, and only a
+    dataset it accepted is stored. A cache that cannot be written is not used.
     """
     data, stamp = _read_file(path)
     version_order = None
@@ -156,29 +156,28 @@ def _load_dataset(path: str,
         entry = None
     else:
         try:
-            return *dataset._unpack_groups(_read_entry(entry)), stamp
+            return dataset._unpack_groups(_read_entry(entry)), stamp
         except (OSError, EOFError, ValueError, TypeError):
             pass
     text = _decode(path, data)
     del data  # the bytes are freed before the parse
     ds = load_csv(text, version_order)
-    order, groups = ds.version_order, ds._groups
-    del ds, text  # the label and value columns and the text are freed before the entry is made
+    del text  # the text is freed before the entry is made
     if entry is not None:
         try:
-            _write_entry(entry, dataset._pack_groups(order, groups))
+            _write_entry(entry, dataset._pack_groups(ds))
             entries = sorted(entry.parent.glob("*.dataset"), key=lambda p: p.stat().st_mtime)
             for old in entries[:-_CACHE_ENTRIES]:
                 old.unlink(missing_ok=True)
         except OSError:
             pass
-    return order, groups, stamp
+    return ds, stamp
 
 
 def cmd_inequality(args) -> int:
     """Per-version inequality report table for one (package, metric)."""
-    order, groups, inputs = _load_inputs(args.manifest, args.data)
-    slices, gaps = dataset._slices(groups, args.package, args.metric, order, args.drop_zeros)
+    ds, inputs = _load_inputs(args.manifest, args.data)
+    slices, gaps = version_slices(ds, args.package, args.metric, args.drop_zeros)
     reports = list(per_version(inequality_report, slices, args.epsilon))
     versions = [version for version, _ in slices]
     if not reports:
@@ -202,10 +201,9 @@ def cmd_inequality(args) -> int:
 
 def cmd_trend(args) -> int:
     """Series construction plus Mann-Kendall verdict; optionally an SVG plot."""
-    order, groups, inputs = _load_inputs(args.manifest, args.data)
-    slices, gaps = dataset._slices(groups, args.package, args.metric, order, args.drop_zeros)
-    result = dataset._pipeline(slices, gaps, args.package, args.metric, args.statistic,
-                               args.epsilon, args.alpha)
+    ds, inputs = _load_inputs(args.manifest, args.data)
+    result = run_pipeline(ds, args.package, args.metric, args.statistic, args.epsilon,
+                          args.alpha, args.drop_zeros)
     if args.plot is not None:
         svg = render_svg(result.series, result.trend, result.gaps)
         try:
@@ -230,12 +228,12 @@ def cmd_diversity(args) -> int:
     this is a single-version analysis.
     """
     version, package, metric = args.at_version, args.package, args.category_metric
-    _, groups, data_stamp = _load_dataset(args.data)
-    slices, _ = dataset._slices(groups, package, metric, (version,), False)
-    if not slices:
+    ds, data_stamp = _load_dataset(args.data)
+    try:
+        values = slice_distribution(ds, version, package, metric)
+    except AnalysisError as exc:
         raise AnalysisError(f"empty ecosystem: no records for version={version!r} "
-                            f"package={package!r} metric={metric!r}")
-    [(_, values)] = slices
+                            f"package={package!r} metric={metric!r}") from exc
     # sorted labels fix the JSON category order; -0.0 + 0.0 is 0.0, so -0 and 0 are one category
     counts = dict(sorted(Counter(str(v + 0.0) for v in values).items()))
     indices = {

@@ -45,11 +45,18 @@ class MetricsDataset:
     """Immutable record table plus the analysis order of its versions.
 
     Lookups read one grouping: package -> metric -> version -> the values, in
-    entity order. ``load_csv`` builds it as it parses, and keeps besides it only
-    the label and value columns, from which ``records`` is built on first read.
-    A dataset made from records groups them on its first lookup, by the same
-    routine (``_group``, ``_sort``, ``_values``). Every lookup copies one list
-    per version.
+    entity order. A dataset is made in one of three ways:
+
+    - from records, ``MetricsDataset(records, order)``, which groups them on its
+      first lookup, by the routine ``load_csv`` uses (``_group``, ``_sort``,
+      ``_values``);
+    - by ``load_csv``, which builds the grouping as it parses and keeps besides it
+      only the label and value columns, from which ``records`` is built on first
+      read;
+    - from a cache entry (``_unpack_groups``), which holds the grouping only: it
+      has no ``records``, and reading them raises AttributeError.
+
+    Every lookup copies one list per version.
     """
 
     records: tuple[Record, ...]
@@ -112,18 +119,26 @@ def _values(groups: dict) -> dict:
     return groups
 
 
-def _pack_groups(order: tuple[str, ...], groups: dict) -> tuple:
-    """``order`` and a ``_groups`` result as plain data for ``marshal``, each release's
-    values packed as doubles, so each value is written with its bits."""
-    return order, {package: {metric: {version: array("d", values).tobytes()
-                                      for version, values in by_version.items()}
-                             for metric, by_version in by_metric.items()}
-                   for package, by_metric in groups.items()}
+def _dataset(order: tuple[str, ...], groups: dict, columns: tuple | None) -> MetricsDataset:
+    """A dataset of ``order`` whose grouping is ``groups``, and whose ``records`` are built
+    from the label and value ``columns`` (or, with None, cannot be read)."""
+    ds = object.__new__(MetricsDataset)
+    ds.__dict__.update(version_order=order, _columns=columns, _groups=groups)
+    return ds
 
 
-def _unpack_groups(payload: object) -> tuple[tuple[str, ...], dict]:
-    """The version order and grouping ``_pack_groups`` took apart, each release's values
-    an ``array("d")``: a lookup copies out only the floats it reads.
+def _pack_groups(ds: MetricsDataset) -> tuple:
+    """The version order and grouping of ``ds`` as plain data for ``marshal``, each
+    release's values packed as doubles, so each value is written with its bits."""
+    return ds.version_order, {package: {metric: {version: array("d", values).tobytes()
+                                                 for version, values in by_version.items()}
+                                        for metric, by_version in by_metric.items()}
+                              for package, by_metric in ds._groups.items()}
+
+
+def _unpack_groups(payload: object) -> MetricsDataset:
+    """The dataset ``_pack_groups`` took apart, each release's values an ``array("d")``
+    (a lookup copies out only the floats it reads), with no ``records``.
 
     Raises ValueError on any other shape: not a pair of a tuple of str and a
     dict -> dict -> dict -> bytes whose lengths are multiples of 8.
@@ -133,10 +148,10 @@ def _unpack_groups(payload: object) -> tuple[tuple[str, ...], dict]:
     order, packed = payload
     if not isinstance(order, tuple) or not all(isinstance(v, str) for v in order):
         raise ValueError("version order not a tuple of str")
-    return order, {package: {metric: {version: _doubles(values)
-                                      for version, values in _items(by_version)}
-                             for metric, by_version in _items(by_metric)}
-                   for package, by_metric in _items(packed)}
+    return _dataset(order, {package: {metric: {version: _doubles(values)
+                                               for version, values in _items(by_version)}
+                                      for metric, by_version in _items(by_metric)}
+                            for package, by_metric in _items(packed)}, None)
 
 
 def _items(level: object):
@@ -304,10 +319,8 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
         if repeated := _sort(groups):
             raise _first_repeat(text, repeated)
         _values(groups)  # the pairs are freed before the cyclic GC runs again
-    ds = object.__new__(MetricsDataset)  # records are built from the columns on first read
     order = tuple(version_order) if version_order is not None else tuple(implied)
-    ds.__dict__.update(version_order=order, _columns=columns, _groups=groups)
-    return ds
+    return _dataset(order, groups, columns)
 
 
 @contextmanager
@@ -388,19 +401,12 @@ def version_slices(
     values sorted by entity label so that record order in the file does not
     matter, and the gap versions: no records, or with ``drop_zeros`` only zeros.
     Each lookup reads the grouping (``MetricsDataset._groups``), whose slices
-    are sorted already, and copies one list per version; ``load_csv`` builds it,
-    and a dataset made from records builds it at its first lookup.
+    are sorted already, and copies one list per version.
     """
-    return _slices(ds._groups, package, metric, ds.version_order, drop_zeros)
-
-
-def _slices(
-    groups: dict, package: str, metric: str, versions: Sequence[str], drop_zeros: bool
-) -> tuple[list[tuple[str, list[float]]], tuple[str, ...]]:
-    """``version_slices`` of a grouping, over ``versions``."""
-    by_version = groups.get(package, {}).get(metric, {})
+    by_version = ds._groups.get(package, {}).get(metric, {})
     slices, gaps = [], []
-    for version in dict.fromkeys(versions):  # a repeated label is served once, at its first place
+    # a repeated label is served once, at its first place
+    for version in dict.fromkeys(ds.version_order):
         values = list(by_version.get(version, ()))
         if drop_zeros:
             values = [value for value in values if value > 0]
@@ -413,12 +419,12 @@ def _slices(
 
 def slice_distribution(ds: MetricsDataset, version: str, package: str, metric: str) -> list[float]:
     """Entity-sorted values of one metric over one (version, package) slice."""
-    slices, _ = _slices(ds._groups, package, metric, (version,), False)
-    if not slices:
+    values = list(ds._groups.get(package, {}).get(metric, {}).get(version, ()))
+    if not values:
         raise AnalysisError(
             f"empty slice: version={version!r} package={package!r} metric={metric!r}"
         )
-    return slices[0][1]
+    return values
 
 
 def per_version(fn: Callable, slices: Sequence[tuple[str, list[float]]], *args) -> Iterator:
@@ -517,19 +523,6 @@ def run_pipeline(
     bad alpha, then for ``mean`` and ``median`` the inequality reports.
     """
     slices, gaps = version_slices(ds, package, metric, drop_zeros)
-    return _pipeline(slices, gaps, package, metric, statistic, epsilon, alpha)
-
-
-def _pipeline(
-    slices: list[tuple[str, list[float]]],
-    gaps: tuple[str, ...],
-    package: str,
-    metric: str,
-    statistic: str,
-    epsilon: float,
-    alpha: float,
-) -> PipelineResult:
-    """``run_pipeline`` of the slices and gaps ``version_slices`` gave."""
     series, reports = _series(slices, package, metric, statistic, epsilon)
     if len(series.points) < 4:
         raise AnalysisError(

@@ -3,7 +3,6 @@
 import errno
 import gc
 import hashlib
-import itertools
 import json
 import marshal
 import math
@@ -16,14 +15,14 @@ import tempfile
 import threading
 from array import array
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from evometrics import cli, dataset, gini, halstead, load_csv, load_manifest, pietra, run_pipeline
 from evometrics.cli import main
-from evometrics.dataset import version_slices
+from evometrics.dataset import MetricsDataset, slice_distribution, version_slices
+from evometrics.errors import AnalysisError
 
 HEADER = "version,package,entity,metric,value\n"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -1168,6 +1167,32 @@ class TestDatasetCache:
         assert outputs[0] == outputs[1]
         assert (outputs[0][1] is None) == ("--plot" not in self.COMMANDS[name])
 
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_each_command_reads_its_dataset_through_one_public_lookup(
+        self, tmp_path, capsys, monkeypatch, count_loads, name
+    ):
+        lookups = {"inequality": "version_slices", "trend": "run_pipeline",
+                   "diversity": "slice_distribution"}
+        calls = []
+
+        def spy(lookup):
+            real = getattr(cli, lookup)
+
+            def counting(ds, *args, **kwargs):
+                calls.append((lookup, type(ds)))
+                return real(ds, *args, **kwargs)
+            return counting
+
+        for lookup in lookups.values():
+            monkeypatch.setattr(cli, lookup, spy(lookup))
+        manifest, data = write_inputs(tmp_path, *cache_rows())
+        argv = self.argv(name, manifest, data, tmp_path / "plot.svg")
+        for expected_loads in (1, 1):  # a miss, then a hit
+            calls.clear()
+            assert run_cli(argv, capsys)[0] == 0
+            assert count_loads[0] == expected_loads
+            assert calls == [(lookups[argv[0]], MetricsDataset)]
+
     @pytest.mark.parametrize("order", [None, ("v6", "v5", "v4", "v3", "v2", "v1")])
     def test_a_hit_gives_the_slices_of_the_load_bit_for_bit(self, tmp_path, count_loads,
                                                              order):
@@ -1179,18 +1204,29 @@ class TestDatasetCache:
         ds = load_csv(Path(path).read_text(), order)
         pairs = sorted({(r.package, r.metric) for r in ds.records}) + [("p", "absent")]
 
-        def bits(slices, gaps):  # -0.0 and 0.0 differ here, and float.hex refuses an int
-            return [(version, list(map(float.hex, values))) for version, values in slices], gaps
+        def bits(values):  # -0.0 and 0.0 differ here, and float.hex refuses an int
+            return list(map(float.hex, values))
+
+        def slices(ds, package, metric, drop_zeros):
+            covered, gaps = version_slices(ds, package, metric, drop_zeros)
+            return [(version, bits(values)) for version, values in covered], gaps
+
+        def distribution(ds, version, package, metric):  # its values, or its refusal
+            try:
+                return bits(slice_distribution(ds, version, package, metric))
+            except AnalysisError as exc:
+                return str(exc)
 
         for expected_loads in (1, 1):  # a miss, then a hit
-            hit_order, groups, _ = cli._load_dataset(path, manifest_text)
-            assert (hit_order, count_loads[0]) == (ds.version_order, expected_loads)
-            for (package, metric), drop_zeros in itertools.product(pairs, (False, True)):
-                for versions in (ds.version_order, *zip(ds.version_order)):
-                    expected = version_slices(replace(ds, version_order=versions), package,
-                                              metric, drop_zeros)
-                    got = dataset._slices(groups, package, metric, versions, drop_zeros)
-                    assert bits(*got) == bits(*expected), (package, metric, versions)
+            loaded, _ = cli._load_dataset(path, manifest_text)
+            assert (loaded.version_order, count_loads[0]) == (ds.version_order, expected_loads)
+            for package, metric in pairs:
+                for drop_zeros in (False, True):
+                    assert (slices(loaded, package, metric, drop_zeros)
+                            == slices(ds, package, metric, drop_zeros)), (package, metric)
+                for version in (*ds.version_order, "v9"):
+                    assert (distribution(loaded, version, package, metric)
+                            == distribution(ds, version, package, metric)), (package, metric)
 
     def test_a_hit_builds_no_record(self, tmp_path, capsys, monkeypatch):
         manifest, data = write_inputs(tmp_path, *cache_rows())
@@ -1203,12 +1239,24 @@ class TestDatasetCache:
             return loaded[-1]
 
         monkeypatch.setattr(cli, "load_csv", keeping)
+        hits = []
+        real_unpack = dataset._unpack_groups
+
+        def holding(payload):  # holds each hit's dataset too
+            hits.append(real_unpack(payload))
+            return hits[-1]
+
+        monkeypatch.setattr(dataset, "_unpack_groups", holding)
         before = live_records()
         parsed = [run_cli(argv, capsys) for argv in argvs]  # one miss per cache key
         plots = sorted((p.name, p.read_bytes()) for p in tmp_path.glob("*.svg"))
         assert [run_cli(argv, capsys) for argv in argvs] == parsed
         assert sorted((p.name, p.read_bytes()) for p in tmp_path.glob("*.svg")) == plots
         assert len(loaded) == 2  # the manifest's key and diversity's: a hit parses nothing
+        assert len(hits) == 2 * len(argvs) - len(loaded)  # every run but the two misses
+        for hit in hits:  # the grouping only: its records cannot be derived
+            with pytest.raises(AttributeError, match="records"):
+                hit.records
         Path(data).write_text(Path(data).read_text() + "v1,r,e0,m,1\n")
         assert run_cli(argvs[0], capsys)[0] == 0  # a miss parses, and builds no record either
         assert len(loaded) == 3
@@ -1334,12 +1382,12 @@ class TestDatasetCache:
                 "--metric", "m", "--format", "csv"]
         parsed = run_cli(argv, capsys)
         [entry] = entries(dataset_cache)
-        order, groups = dataset._unpack_groups(marshal.loads(entry.read_bytes()[32:]))
-        groups = {package: {metric: {version: [value + 1 for value in values]
-                                     for version, values in by_version.items()}
-                            for metric, by_version in by_metric.items()}
-                  for package, by_metric in groups.items()}
-        payload = marshal.dumps(dataset._pack_groups(order, groups), 4)
+        ds = dataset._unpack_groups(marshal.loads(entry.read_bytes()[32:]))
+        for by_metric in ds._groups.values():
+            for by_version in by_metric.values():
+                for version, values in by_version.items():
+                    by_version[version] = [value + 1 for value in values]
+        payload = marshal.dumps(dataset._pack_groups(ds), 4)
         forged = hashlib.sha256(payload).digest() + payload  # an entry anyone could write
         entry.write_bytes(forged)
         if folder == "open to others":
