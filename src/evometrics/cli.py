@@ -439,9 +439,10 @@ def cmd_extract(args) -> int:
 def _write_extract_output(body: str, output: str) -> None:
     text = ",".join(CSV_HEADER) + "\n" + body  # as --output - prints it
     try:  # the new rows must load on their own, numbered as in that text
-        new_keys = {record[:4] for record in load_csv(text).records}
+        load_csv(text)
     except InputError as exc:
         raise InputError(f"extracted rows, {exc}") from exc
+    new_keys = set(dataset._keys(text))
     if output == "-":
         sys.stdout.write(text)
         return
@@ -450,17 +451,18 @@ def _write_extract_output(body: str, output: str) -> None:
         old = path.read_bytes() if path.is_file() else b""  # a device or FIFO is written, not read
         if old:  # append to an existing dataset, which must load as one
             try:
-                records = load_csv(old.decode("utf-8")).records
+                old_text = old.decode("utf-8")
+                load_csv(old_text)
             except UnicodeDecodeError as exc:
                 line = old.count(b"\n", 0, exc.start) + 1
                 raise InputError(f"cannot append to {output}: line {line}: {exc}") from exc
             except InputError as exc:
                 raise InputError(f"cannot append to {output}: {exc}") from exc
             # a key already in the file would make load_csv reject the result as a duplicate
-            for record in records:
-                if record[:4] in new_keys:
+            for key in dataset._keys(old_text):
+                if key in new_keys:
                     raise InputError(f"cannot append to {output}: it already holds "
-                                     f"records for {record[:3]!r}")
+                                     f"records for {key[:3]!r}")
             if not old.endswith(b"\n"):  # a last row without its newline
                 body = "\n" + body
             data = old + body.encode("utf-8")

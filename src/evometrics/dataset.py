@@ -51,8 +51,8 @@ class MetricsDataset:
       first lookup, by the routine ``load_csv`` uses (``_group``, ``_sort``,
       ``_values``);
     - by ``load_csv``, which builds the grouping as it parses and keeps besides it
-      only the label and value columns, from which ``records`` is built on first
-      read;
+      only the text, from which ``records`` is parsed again on first read (which
+      costs about as much as the load; no lookup reads ``records``);
     - from a cache entry (``_unpack_groups``), which holds the grouping only: it
       has no ``records``, and reading them raises AttributeError.
 
@@ -73,12 +73,19 @@ class MetricsDataset:
         return _values(groups)
 
     def __getattr__(self, name: str) -> tuple[Record, ...]:
-        """``records`` of a dataset ``load_csv`` made, built from its columns on first read."""
-        columns = self.__dict__.get("_columns") if name == "records" else None
-        if columns is None:
+        """``records`` of a dataset ``load_csv`` made, parsed again from its text on first
+        read, chunk by chunk as ``load_csv`` parses it; equal labels are one string object."""
+        text = self.__dict__.get("_text") if name == "records" else None
+        if text is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        shared: dict[str, str] = {}  # one string object per distinct label
+        records = []
         with _acyclic():
-            records = tuple(map(tuple.__new__, repeat(Record), zip(*columns)))
+            for *labels, value_texts in _parsed(text):
+                labels = [list(map(shared.setdefault, column, column)) for column in labels]
+                records += map(tuple.__new__, repeat(Record),
+                               zip(*labels, map(float, value_texts)))
+            records = tuple(records)
         object.__setattr__(self, "records", records)
         return records
 
@@ -119,11 +126,11 @@ def _values(groups: dict) -> dict:
     return groups
 
 
-def _dataset(order: tuple[str, ...], groups: dict, columns: tuple | None) -> MetricsDataset:
-    """A dataset of ``order`` whose grouping is ``groups``, and whose ``records`` are built
-    from the label and value ``columns`` (or, with None, cannot be read)."""
+def _dataset(order: tuple[str, ...], groups: dict, text: str | None) -> MetricsDataset:
+    """A dataset of ``order`` whose grouping is ``groups``, and whose ``records`` are parsed
+    from ``text``, a CSV ``load_csv`` accepted (or, with None, cannot be read)."""
     ds = object.__new__(MetricsDataset)
-    ds.__dict__.update(version_order=order, _columns=columns, _groups=groups)
+    ds.__dict__.update(version_order=order, _text=text, _groups=groups)
     return ds
 
 
@@ -256,26 +263,59 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
 
     A refusal names the first failing line; a line breaking several rules
     is refused for the first of: field count, empty label, unknown version,
-    unparsable value, non-finite value, duplicate record. Equal labels are
-    one shared string object.
+    unparsable value, non-finite value, duplicate record.
 
     The body is parsed in chunks of about 2**18 characters, each ending just
-    after a line feed. Each row goes straight into the grouping lookups read
-    (see ``MetricsDataset``); no record is built. Duplicates are found per
-    release once the last chunk is in: each release is sorted by entity, and
-    a key it holds twice is refused. So beyond the text, the grouping and the
-    label and value columns, a load's memory is bounded by the chunk, not by
-    the file. A refusal's too: beside the grouping of the rows before the
-    failing chunk, it keys only that chunk's rows (read again line by line,
-    with the earlier keys they repeat) or, for a duplicate, the rows of the
-    repeated keys (the text read again a chunk at a time), never every row.
+    after a line feed (see ``_columns``). Each row goes straight into the
+    grouping lookups read (see ``MetricsDataset``); no record is built, and no
+    label is kept but the grouping's keys. Duplicates are found per release
+    once the last chunk is in: each release is sorted by entity, and a key it
+    holds twice is refused. So beyond the text, which the dataset keeps to
+    parse its ``records`` from on first read (where equal labels are one
+    shared string object), and the grouping, a load's memory is bounded by the
+    chunk, not by the file. A refusal's too: beside the grouping of the rows
+    before the failing chunk, it keys only that chunk's rows (read again line
+    by line, with the earlier keys they repeat) or, for a duplicate, the rows
+    of the repeated keys (the text read again a chunk at a time), never every
+    row.
     """
     known = frozenset(version_order) if version_order is not None else None
-    shared: dict[str, str] = {}  # one string object per distinct label
     groups: dict = {}  # as _group builds it, then _sort and _values
-    columns = ([], [], [], [], [])  # version, package, entity, metric, value
     implied: dict[str, None] = {}  # versions by first appearance
-    # the first line as the chunks below would split it; it ends at or before the first "\n"
+    line, end = 2, _body_start(text)  # the next chunk's first line number, and where it starts
+    with _acyclic():  # every object built below is acyclic; collecting would only rescan them
+        while end < len(text):
+            start, end = end, _chunk_end(text, end)
+            lines, columns = _columns(text[start:end])
+            first, line = line, line + lines
+            if columns is None:
+                raise _refusal(text, start, end, first, known, groups)
+            *labels, value_texts = columns
+            del columns
+            versions = labels[0]
+            try:
+                values = list(map(float, value_texts))
+            except ValueError:
+                values = None
+            del value_texts
+            if (not all(map(all, labels))  # an empty label
+                    or known is not None and not known.issuperset(versions)
+                    or values is None or not all(map(math.isfinite, values))):
+                raise _refusal(text, start, end, first, known, groups)
+            _group(groups, zip(*labels, values))
+            if known is None:
+                implied.update(dict.fromkeys(versions))
+        if repeated := _sort(groups):
+            raise _first_repeat(text, repeated)
+        _values(groups)  # the pairs are freed before the cyclic GC runs again
+    order = tuple(version_order) if version_order is not None else tuple(implied)
+    return _dataset(order, groups, text)
+
+
+def _body_start(text: str) -> int:
+    """Where the body of a CSV ``text`` starts, after its header line; raises InputError
+    when that line is not the header."""
+    # the first line as the chunks would split it; it ends at or before the first "\n"
     lines = text[: text.find("\n") + 1 or None].splitlines(keepends=True)
     if not lines or not lines[0].strip():
         raise InputError("line 1: missing header")
@@ -284,43 +324,55 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
         raise InputError(
             f"line 1: expected header {','.join(CSV_HEADER)!r}, got {lines[0].strip()!r}"
         )
-    line, end = 2, len(lines[0])  # the next chunk's first line number, and where it starts
-    with _acyclic():  # every object built below is acyclic; collecting would only rescan them
-        while end < len(text):
-            start, end = end, _chunk_end(text, end)
-            lines = text[start:end].splitlines()
-            first, line = line, line + len(lines)
-            rows = list(filter(None, map(str.strip, lines)))  # blank lines skipped
-            del lines
-            if list(map(str.count, rows, repeat(","))).count(4) != len(rows):
-                raise _refusal(text, start, end, first, known, groups)
-            joined = ",".join(rows)
-            del rows
-            fields = joined.split(",") if joined else []
-            del joined
-            *labels, value_texts = [list(map(str.strip, fields[i::5])) for i in range(5)]
-            del fields
-            labels = [list(map(shared.setdefault, column, column)) for column in labels]
-            versions = labels[0]
-            try:
-                values = list(map(float, value_texts))
-            except ValueError:
-                values = None
-            del value_texts
-            if ("" in shared  # only ever from this chunk: an earlier one would have raised
-                    or known is not None and not known.issuperset(versions)
-                    or values is None or not all(map(math.isfinite, values))):
-                raise _refusal(text, start, end, first, known, groups)
-            _group(groups, zip(*labels, values))
-            for column, chunk_column in zip(columns, (*labels, values)):
-                column.extend(chunk_column)
-            if known is None:
-                implied.update(dict.fromkeys(versions))
-        if repeated := _sort(groups):
-            raise _first_repeat(text, repeated)
-        _values(groups)  # the pairs are freed before the cyclic GC runs again
-    order = tuple(version_order) if version_order is not None else tuple(implied)
-    return _dataset(order, groups, columns)
+    return len(lines[0])
+
+
+def _columns(chunk: str) -> tuple[int, list[list[str]] | None]:
+    """The number of lines of a chunk of CSV body, as ``str.splitlines`` counts them, and
+    the texts of its rows' five fields as five columns, blank lines skipped and each field
+    stripped; or, for the columns, None when a row has not five fields.
+
+    A chunk is unpadded when its only whitespace is the line feeds. Then
+    ``chunk.split()`` gives its rows, blank lines skipped, no row or field needs a
+    strip, and its lines are its line feeds (one more if the last row lacks one). The
+    test is exact: the rows' characters and the line feeds must make up the whole
+    chunk. Counting rows would not do: an inner space that splits a row in two, or a
+    lone "\r" that ends one, can balance a blank line.
+    """
+    rows = chunk.split()
+    feeds = chunk.count("\n")
+    padded = sum(map(len, rows)) + feeds != len(chunk)  # whitespace besides the line feeds
+    if padded:
+        rows = chunk.splitlines()
+        lines = len(rows)
+        rows = list(filter(None, map(str.strip, rows)))  # blank lines skipped
+    else:
+        lines = feeds + (not chunk.endswith("\n"))
+    if list(map(str.count, rows, repeat(","))).count(4) != len(rows):
+        return lines, None
+    joined = ",".join(rows)
+    del rows
+    fields = joined.split(",") if joined else []
+    del joined
+    if padded:
+        return lines, [list(map(str.strip, fields[i::5])) for i in range(5)]
+    return lines, [fields[i::5] for i in range(5)]
+
+
+def _parsed(text: str) -> Iterator[list[list[str]]]:
+    """The five columns of field texts (see ``_columns``) of each chunk of a CSV ``text``
+    that ``load_csv`` accepts, chunk by chunk as it parses them."""
+    end = _body_start(text)
+    while end < len(text):
+        start, end = end, _chunk_end(text, end)
+        yield _columns(text[start:end])[1]
+
+
+def _keys(text: str) -> Iterator[tuple[str, str, str, str]]:
+    """The (version, package, entity, metric) key of each row of a CSV ``text`` that
+    ``load_csv`` accepts, in row order; no ``Record`` is built."""
+    for *labels, _ in _parsed(text):
+        yield from zip(*labels)
 
 
 @contextmanager

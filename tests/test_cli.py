@@ -681,6 +681,32 @@ class TestExtractCommand:
         ds = load_csv(out_csv.read_text(), ["v1", "v2"])
         assert len(ds.records) == 8
 
+    def test_append_to_a_large_file_builds_no_record(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "f.cc"
+        src.write_text("a = b + c;\n")
+        out_csv = tmp_path / "dataset.csv"
+        out_csv.write_text(HEADER + "".join(f"v0,p,src/f{i}.c,m{i % 3},{i}\n"
+                                            for i in range(30_000)))  # many chunks
+        loaded = []
+
+        def keeping(*args):  # holds each dataset, so records built from it would stay alive
+            loaded.append(load_csv(*args))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_csv", keeping)
+        before = live_records()
+        argv = ["extract", str(src), "--version", "v1", "--package", "p", "--output", str(out_csv)]
+        assert run_cli(argv, capsys)[0] == 0
+        appended = out_csv.read_bytes()
+        code, _, err = run_cli(argv, capsys)  # the same release again: a key the file holds
+        assert code == 2
+        assert err == (f"error: cannot append to {out_csv}: it already holds records for "
+                       f"{('v1', 'p', src.as_posix())!r}\n")
+        assert out_csv.read_bytes() == appended
+        assert len(loaded) == 4 and not any("records" in vars(ds) for ds in loaded)
+        assert live_records() == before
+        assert len(load_csv(appended.decode(), ["v0", "v1"]).records) == 30_007
+
     def test_append_to_foreign_header_exits_2_naming_the_file(self, tmp_path, capsys):
         src = tmp_path / "f.cc"
         src.write_text("a = b;\n")

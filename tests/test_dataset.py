@@ -490,6 +490,85 @@ class TestLoadCsvChunks:
         assert peaks[1] < 1.05 * peaks[0]
 
 
+def columns_of(*rows):
+    """The five columns ``dataset._columns`` gives for these rows, blank ones skipped."""
+    return [list(column) for column in zip(*(row.split(",") for row in rows if row))]
+
+
+class TestUnpaddedChunks:
+    """A chunk whose only whitespace is its line feeds is split without a strip; every other
+    chunk is stripped. Either way a load matches the reference loader."""
+
+    @pytest.fixture(params=[*SMALL_CHUNKS, 1 << 18])
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(dataset, "_CHUNK_CHARS", request.param, raising=False)
+        return request.param
+
+    @pytest.mark.parametrize("inner", [" ", "\xa0", "​", "\x00"],
+                             ids=["space", "no-break space", "zero width space", "NUL"])
+    def test_a_label_with_an_inner_space_or_invisible_character(self, chunk, inner):
+        rows = [f"v1,p,e{inner}f,m,1", f"v1,p{inner}q,e,m,2", "v1,p,e,m,3"]
+        ds = assert_like_the_reference(csv_for(rows), ["v1"])
+        assert [r.entity for r in ds.records] == [f"e{inner}f", "e", "e"]
+        assert dataset._columns("".join(f"{row}\n" for row in rows)) == (3, columns_of(*rows))
+        message = assert_like_the_reference(csv_for([*rows, f"v1,p{inner}q,e,m,4"]), ["v1"])
+        assert message == f"line 5: duplicate record for {('v1', f'p{inner}q', 'e', 'm')!r}"
+
+    def test_a_blank_line_inside_an_unpadded_chunk(self, chunk):
+        rows = ["v1,p,e,m,1", "", "v1,p,f,m,2", "v1,p,g,m,3"]
+        assert len(assert_like_the_reference(csv_for(rows), ["v1"]).records) == 3
+        assert dataset._columns("".join(f"{row}\n" for row in rows)) == (4, columns_of(*rows))
+        message = assert_like_the_reference(csv_for([*rows, "v1,p,e,m,4"]), ["v1"])
+        assert message == "line 6: duplicate record for ('v1', 'p', 'e', 'm')"
+
+    def test_a_last_row_without_a_line_feed(self, chunk):
+        rows = ["v1,p,e,m,1", "v1,p,f,m,2"]
+        assert len(assert_like_the_reference(csv_for(rows).rstrip("\n"), ["v1"]).records) == 2
+        assert dataset._columns("\n".join(rows)) == (2, columns_of(*rows))
+        message = assert_like_the_reference(csv_for([*rows, "v1,p,g,m,x"]).rstrip("\n"), ["v1"])
+        assert message == "line 4: cannot parse value 'x'"
+
+    def test_crlf_line_ends(self, chunk):
+        rows = ["v1,p,e,m,1", "v1,p,f,m,2"]
+        text = csv_for(rows).replace("\n", "\r\n")
+        assert [r.value for r in assert_like_the_reference(text, ["v1"]).records] == [1.0, 2.0]
+        assert dataset._columns("v1,p,e,m,1\r\nv1,p,f,m,2\r\n") == (2, columns_of(*rows))
+        message = assert_like_the_reference(text + "v1,p,g,m,inf\r\n", ["v1"])
+        assert message == "line 4: non-finite value 'inf'"
+
+    @pytest.mark.parametrize("later, message", [
+        (" v1,p,x,m,1 ", None),
+        ("v1,p ,x,m,y", "cannot parse value 'y'"),
+        ("v1,\tp,e3,m,2", "duplicate record for ('v1', 'p', 'e3', 'm')"),
+    ], ids=["loads", "bad value", "duplicate across the two"])
+    def test_an_unpadded_chunk_then_a_padded_one(self, monkeypatch, later, message):
+        monkeypatch.setattr(dataset, "_CHUNK_CHARS", 64, raising=False)
+        rows = [f"v1,p,e{i},m,{i}" for i in range(6)]
+        text = csv_for([*rows, "", later, "v1,p,z,m,1"])
+        first_end = dataset._chunk_end(text, len(HEADER))
+        assert first_end == len(csv_for(rows))  # the six rows, whose only whitespace is "\n"
+        assert any(c.isspace() and c != "\n" for c in text[first_end:])  # then padding
+        got = assert_like_the_reference(text, ["v1"])
+        if message is None:
+            assert len(got.records) == 8
+        else:
+            assert got == f"line 9: {message}"
+
+    @pytest.mark.parametrize("first", ["v1,p,e f,m,1", "v1,p,e,m,1\rv1,p,f,m,1"],
+                             ids=["inner space", "lone CR"])
+    def test_an_inner_space_or_break_balancing_a_blank_line(self, chunk, first):
+        # as many words as line feeds, as if unpadded with no blank line: only the rows'
+        # characters and line feeds falling short of the chunk's length tell it apart
+        rows = [first, "", "v1,p,g,m,2"]
+        body = "".join(f"{row}\n" for row in rows)
+        assert len(body.split()) == body.count("\n")
+        assert dataset._columns(body) == (len(body.splitlines()), columns_of(*body.splitlines()))
+        assert_like_the_reference(csv_for(rows), ["v1"])
+        message = assert_like_the_reference(csv_for([*rows, "v1,p,g,m,3"]), ["v1"])
+        line = 2 + len(body.splitlines())  # the header, then the body's lines
+        assert message == f"line {line}: duplicate record for ('v1', 'p', 'g', 'm')"
+
+
 class TestSlice:
     def test_values_sorted_by_entity(self):
         ds = load_csv(csv_for(["v1,p,B,m,5", "v1,p,A,m,3"]), ["v1"])
@@ -666,7 +745,8 @@ def live_records():
 
 
 class TestRecordsOnFirstRead:
-    """A parsed dataset builds its records from its columns when ``records`` is first read."""
+    """A parsed dataset parses its records again from its text when ``records`` is first
+    read."""
 
     VERSIONS = [f"r{k}" for k in range(5)]
     TEXT = csv_for(f"{version},{package},e{j},m,{(j + 1) * (k + 2) % 7}"
