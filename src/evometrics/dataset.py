@@ -267,8 +267,9 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
 
     The body is parsed in chunks of about 2**18 characters, each ending just
     after a line feed (see ``_columns``). Each row goes straight into the
-    grouping lookups read (see ``MetricsDataset``); no record is built, and no
-    label is kept but the grouping's keys. Duplicates are found per release
+    grouping lookups read (see ``MetricsDataset``); no record is built, and of
+    the labels only the entities, which the releases hold until the last
+    chunk is in, are shared string objects. Duplicates are found per release
     once the last chunk is in: each release is sorted by entity, and a key it
     holds twice is refused. So beyond the text, which the dataset keeps to
     parse its ``records`` from on first read (where equal labels are one
@@ -282,6 +283,7 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
     known = frozenset(version_order) if version_order is not None else None
     groups: dict = {}  # as _group builds it, then _sort and _values
     implied: dict[str, None] = {}  # versions by first appearance
+    entities: dict[str, str] = {}  # one string object per entity label
     line, end = 2, _body_start(text)  # the next chunk's first line number, and where it starts
     with _acyclic():  # every object built below is acyclic; collecting would only rescan them
         while end < len(text):
@@ -302,6 +304,8 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
                     or known is not None and not known.issuperset(versions)
                     or values is None or not all(map(math.isfinite, values))):
                 raise _refusal(text, start, end, first, known, groups)
+            # the releases hold each row's entity until they are sorted: one object per label
+            labels[2] = list(map(entities.setdefault, labels[2], labels[2]))
             _group(groups, zip(*labels, values))
             if known is None:
                 implied.update(dict.fromkeys(versions))
