@@ -140,7 +140,9 @@ def _load_dataset(path: str, manifest_text: str | None = None) -> tuple[MetricsD
     (``dataset._unpack_groups``) holds only the grouping, whose slices are in entity
     order already, and has no ``records``. An entry that cannot be read, checked or
     unpacked is a miss. A miss decodes the file and runs ``load_csv``, and only a
-    dataset it accepted is stored. A cache that cannot be written is not used.
+    dataset it accepted is stored; its dataset, too, keeps only the grouping (not
+    the text its ``records`` would be parsed from). A cache that cannot be written
+    is not used.
     """
     data, stamp = _read_file(path)
     version_order = None
@@ -162,6 +164,8 @@ def _load_dataset(path: str, manifest_text: str | None = None) -> tuple[MetricsD
     text = _decode(path, data)
     del data  # the bytes are freed before the parse
     ds = load_csv(text, version_order)
+    # the CLI reads no records: like a hit's, its dataset holds the grouping, not the text
+    ds = dataset._dataset(ds.version_order, ds._groups, None)
     del text  # the text is freed before the entry is made
     if entry is not None:
         try:

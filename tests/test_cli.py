@@ -1289,6 +1289,15 @@ class TestDatasetCache:
         assert not any("records" in vars(ds) for ds in loaded)
         assert live_records() == before
 
+    def test_a_miss_keeps_only_the_grouping_as_a_hit_does(self, tmp_path, count_loads):
+        manifest, data = write_inputs(tmp_path, *cache_rows())
+        for expected_loads in (1, 1):  # a miss, then a hit
+            ds, _ = cli._load_dataset(data, Path(manifest).read_text())
+            assert count_loads[0] == expected_loads
+            assert vars(ds)["_text"] is None  # the text is freed once parsed
+            with pytest.raises(AttributeError, match="records"):
+                ds.records
+
     def test_an_edited_data_byte_is_a_miss(self, tmp_path, capsys, dataset_cache, count_loads):
         versions, rows = cache_rows()
         manifest, data = write_inputs(tmp_path, versions, rows)
