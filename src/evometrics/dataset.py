@@ -68,7 +68,7 @@ class MetricsDataset:
 
         The sort is stable, so the records of one entity keep their file order.
         """
-        groups = _group({}, self.records)
+        groups = _group({}, self.records, {})
         _sort(groups)
         return _values(groups)
 
@@ -90,13 +90,19 @@ class MetricsDataset:
         return records
 
 
-def _group(groups: dict, rows: Iterable[tuple]) -> dict:
+def _group(groups: dict, rows: Iterable[tuple], shared: dict[str, str]) -> dict:
     """``groups`` with each (version, package, entity, metric, value) row's (entity, value)
-    appended to its release: package -> metric -> version -> pairs, in row order."""
+    appended to its release: package -> metric -> version -> pairs, in row order.
+
+    Each key it adds is ``shared``'s object for its label, so that equal labels are one
+    object across the grouping, which ``marshal`` writes once (see ``_pack_groups``).
+    """
     for version, package, entity, metric, value in rows:
         try:
             groups[package][metric][version].append((entity, value))
         except KeyError:
+            labels = version, package, metric
+            version, package, metric = map(shared.setdefault, labels, labels)
             groups.setdefault(package, {}).setdefault(metric, {})[version] = [(entity, value)]
     return groups
 
@@ -267,9 +273,10 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
 
     The body is parsed in chunks of about 2**18 characters, each ending just
     after a line feed (see ``_columns``). Each row goes straight into the
-    grouping lookups read (see ``MetricsDataset``); no record is built, and of
-    the labels only the entities, which the releases hold until the last
-    chunk is in, are shared string objects. Duplicates are found per release
+    grouping lookups read (see ``MetricsDataset``); no record is built, and
+    only the entities, which the releases hold until the last chunk is in,
+    and the grouping's keys are mapped to one string object per label.
+    Duplicates are found per release
     once the last chunk is in: each release is sorted by entity, and a key it
     holds twice is refused. So beyond the text, which the dataset keeps to
     parse its ``records`` from on first read (where equal labels are one
@@ -283,7 +290,7 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
     known = frozenset(version_order) if version_order is not None else None
     groups: dict = {}  # as _group builds it, then _sort and _values
     implied: dict[str, None] = {}  # versions by first appearance
-    entities: dict[str, str] = {}  # one string object per entity label
+    shared: dict[str, str] = {}  # one string object per entity and grouping key label
     line, end = 2, _body_start(text)  # the next chunk's first line number, and where it starts
     with _acyclic():  # every object built below is acyclic; collecting would only rescan them
         while end < len(text):
@@ -305,14 +312,14 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
                     or values is None or not all(map(math.isfinite, values))):
                 raise _refusal(text, start, end, first, known, groups)
             # the releases hold each row's entity until they are sorted: one object per label
-            labels[2] = list(map(entities.setdefault, labels[2], labels[2]))
-            _group(groups, zip(*labels, values))
+            labels[2] = list(map(shared.setdefault, labels[2], labels[2]))
+            _group(groups, zip(*labels, values), shared)
             if known is None:
                 implied.update(dict.fromkeys(versions))
         if repeated := _sort(groups):
             raise _first_repeat(text, repeated)
         _values(groups)  # the pairs are freed before the cyclic GC runs again
-    order = tuple(version_order) if version_order is not None else tuple(implied)
+    order = tuple(version_order) if version_order is not None else tuple(map(shared.get, implied))
     return _dataset(order, groups, text)
 
 

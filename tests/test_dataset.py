@@ -162,6 +162,18 @@ class TestLoadCsv:
         assert first.entity is second.entity
         assert first.metric is second.metric
 
+    def test_equal_grouping_keys_share_one_object(self):
+        # marshal writes a shared object once, so a cache entry's bytes depend on the sharing
+        ds = load_csv(csv_for(["v1,p,e,m,1", "v1,q,e,m,2", "v2,q,e,p,3", "v1,m,e,v1,4"]))
+        keys = [*ds.version_order]
+        for package, by_metric in ds._groups.items():
+            keys.append(package)
+            for metric, by_version in by_metric.items():
+                keys += [metric, *by_version]
+        first = {}
+        assert all(first.setdefault(key, key) is key for key in keys)
+        assert len(first) == 5
+
     @pytest.mark.parametrize("enabled", [True, False])
     def test_gc_state_left_as_found(self, enabled):
         was_enabled = gc.isenabled()
