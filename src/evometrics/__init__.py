@@ -5,6 +5,10 @@ version at a time) into econometric inequality indices, tests version
 series for monotonic trends with the Mann-Kendall test, measures ecosystem
 diversity of categorical compositions, and extracts Halstead measures from
 C-family sources to feed the pipeline.
+
+The Halstead names (``tokenize``, ``extract_file`` and the rest of
+``evometrics.halstead``'s exports) are imported on first access, so that a
+process that does not extract never loads the lexer.
 """
 
 __version__ = "0.1.0"
@@ -45,15 +49,22 @@ from .dataset import (
     run_pipeline,
     slice_distribution,
 )
-from .halstead import (
-    HalsteadMeasures,
-    Token,
-    TokenCounts,
-    extract_file,
-    halstead_counts,
-    halstead_measures,
-    tokenize,
-)
+
+# imported from .halstead on first access (PEP 562): only extract needs the lexer
+_HALSTEAD = ("HalsteadMeasures", "Token", "TokenCounts", "extract_file", "halstead_counts",
+             "halstead_measures", "tokenize")
+
+
+def __getattr__(name: str):
+    if name in _HALSTEAD:
+        from . import halstead
+
+        return getattr(halstead, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HALSTEAD})
 
 __all__ = [
     "AnalysisError",

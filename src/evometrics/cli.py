@@ -19,16 +19,19 @@ import tempfile
 from array import array
 from collections import Counter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, dataset, halstead, report
+from . import __version__, dataset, report
 from .dataset import (CSV_HEADER, STATISTICS, MetricsDataset, load_csv, load_manifest,
                       per_version, run_pipeline, slice_distribution, version_slices)
 from .diversity import evenness, gini_simpson, richness, shannon, simpson
 from .errors import AnalysisError, InputError
-from .halstead import TokenCounts
 from .inequality import DEFAULT_EPSILON, inequality_report
 from .svgplot import render_svg
 from .trend import DEFAULT_ALPHA, NO_TREND
+
+if TYPE_CHECKING:  # halstead is imported where extract runs, and only there
+    from .halstead import TokenCounts
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -332,6 +335,8 @@ class _CountsTable:
     """
 
     def __init__(self):
+        from . import halstead
+
         self.index: dict[bytes, int] = {}
         self.values = array("q")
         self.counted: dict[bytes, TokenCounts] = {}  # this run's texts, in the order first read
@@ -351,6 +356,8 @@ class _CountsTable:
     def counts(self, text: str, entity: str) -> TokenCounts:
         """The counts of ``text``, lexed only where the table lacks them; raises as
         ``halstead._entity_counts`` does."""
+        from . import halstead
+
         digest = hashlib.sha256(text.encode("utf-8")).digest()
         counts = self.counted.get(digest)
         if counts is None:
@@ -359,7 +366,7 @@ class _CountsTable:
                 counts = halstead._entity_counts(text, entity)
                 self.missed = True
             else:
-                counts = TokenCounts(*self.values[at:at + 4])
+                counts = halstead.TokenCounts(*self.values[at:at + 4])
             self.counted[digest] = counts
         return counts
 
@@ -398,6 +405,8 @@ def cmd_extract(args) -> int:
     everything else. A text counted before is not lexed again: its counts come
     from the user's cache (``_CountsTable``).
     """
+    from . import halstead
+
     for label, value in (("version", args.src_version), ("package", args.package)):
         if fault := dataset._field_break(value):
             raise InputError(f"{label} label contains {fault}: {value!r}")

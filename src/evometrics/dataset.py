@@ -13,17 +13,15 @@ from __future__ import annotations
 import gc
 import json
 import math
-import statistics
 from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import repeat
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from . import inequality
+from . import inequality, trend
 from .errors import AnalysisError, InputError
 from .inequality import DEFAULT_EPSILON, InequalityReport
 from .trend import DEFAULT_ALPHA, TrendResult, mk_test
@@ -40,27 +38,57 @@ class Record(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
 class MetricsDataset:
     """Immutable record table plus the analysis order of its versions.
 
     Lookups read one grouping: package -> metric -> version -> the values, in
     entity order. A dataset is made in one of three ways:
 
-    - from records, ``MetricsDataset(records, order)``, which groups them on its
+    - from records, ``MetricsDataset(records, version_order)``, which groups them on its
       first lookup, by the routine ``load_csv`` uses (``_group``, ``_sort``,
       ``_values``);
     - by ``load_csv``, which builds the grouping as it parses and keeps besides it
       only the text, from which ``records`` is parsed again on first read (which
       costs about as much as the load; no lookup reads ``records``);
-    - from a cache entry (``_unpack_groups``), which holds the grouping only: it
-      has no ``records``, and reading them raises AttributeError.
+    - from the grouping alone (``_dataset`` with no text, as a CLI cache entry or
+      miss makes it): it has no ``records``, and reading them raises AttributeError.
 
-    Every lookup copies one list per version.
+    Every lookup copies one list per version. Attributes cannot be set or deleted.
+    Equality, hash and repr are over (records, version_order); the grouping stays
+    out of them. A dataset that holds only the grouping compares and hashes by
+    identity, and its repr says its records are not kept.
     """
 
-    records: tuple[Record, ...]
-    version_order: tuple[str, ...]
+    def __init__(self, records: tuple[Record, ...], version_order: tuple[str, ...]):
+        self.__dict__.update(records=records, version_order=version_order)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to attribute {name!r} of a MetricsDataset")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete attribute {name!r} of a MetricsDataset")
+
+    def _key(self) -> tuple | None:
+        """(records, version_order), or None where the dataset holds only the grouping."""
+        if "records" not in self.__dict__ and self.__dict__.get("_text") is None:
+            return None
+        return self.records, self.version_order
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key()
+        return self is other if key is None else key == other._key()
+
+    def __hash__(self) -> int:
+        key = self._key()
+        return object.__hash__(self) if key is None else hash(key)
+
+    def __repr__(self) -> str:
+        key = self._key()
+        if key is None:
+            return f"<MetricsDataset version_order={self.version_order!r}, records not kept>"
+        return f"MetricsDataset(records={key[0]!r}, version_order={key[1]!r})"
 
     @cached_property
     def _groups(self) -> dict:
@@ -86,7 +114,7 @@ class MetricsDataset:
                 records += map(tuple.__new__, repeat(Record),
                                zip(*labels, map(float, value_texts)))
             records = tuple(records)
-        object.__setattr__(self, "records", records)
+        self.__dict__["records"] = records
         return records
 
 
@@ -179,9 +207,9 @@ def _doubles(packed: object) -> array:
     return array("d", packed)
 
 
-@dataclass(frozen=True)
-class VersionSeries:
-    """One statistic of one (package, metric), evaluated per covered version."""
+class VersionSeries(NamedTuple):
+    """One statistic of one (package, metric), evaluated per covered version (a named
+    tuple)."""
 
     package: str
     metric: str
@@ -195,9 +223,8 @@ class VersionSeries:
         return [x for _, x in self.points]
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    """A series, its per-version inequality reports, and its trend verdict.
+class PipelineResult(NamedTuple):
+    """A series, its per-version inequality reports, and its trend verdict (a named tuple).
 
     ``inequality_per_version`` is None for raw series, which carry no
     per-entity distribution to aggregate. ``gaps`` lists the manifest
@@ -515,7 +542,7 @@ def _mean(values: list[float], epsilon: float) -> float:
 
 
 def _median(values: list[float], epsilon: float) -> float:
-    if math.isfinite(median := statistics.median(values)):  # may overflow: (a + b) / 2
+    if math.isfinite(median := trend._median(values)):  # may overflow: (a + b) / 2
         return median
     raise AnalysisError("median beyond the float range")
 
@@ -591,7 +618,7 @@ def run_pipeline(
         raise AnalysisError(
             f"series too short for trend: {len(series.points)} points (need at least 4)"
         )
-    trend = mk_test(series.values(), alpha=alpha)
+    verdict = mk_test(series.values(), alpha=alpha)
     if reports is None and statistic != "raw":  # mean and median: after the trend
         reports = tuple(per_version(inequality.inequality_report, slices, epsilon))
-    return PipelineResult(series=series, inequality_per_version=reports, trend=trend, gaps=gaps)
+    return PipelineResult(series=series, inequality_per_version=reports, trend=verdict, gaps=gaps)

@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .dataset import Record
@@ -113,9 +112,8 @@ class Token(NamedTuple):
     line: int
 
 
-@dataclass(frozen=True)
-class TokenCounts:
-    """Primitive Halstead counts: distinct (n) and total (N) spellings."""
+class TokenCounts(NamedTuple):
+    """Primitive Halstead counts: distinct (n) and total (N) spellings (a named tuple)."""
 
     n1: int  # distinct operators
     n2: int  # distinct operands
@@ -123,8 +121,9 @@ class TokenCounts:
     N2: int  # total operands
 
 
-@dataclass(frozen=True)
-class HalsteadMeasures:
+class HalsteadMeasures(NamedTuple):
+    """The classical measures of one file's counts (a named tuple)."""
+
     vocabulary: int  # n1 + n2
     length: int  # N1 + N2
     volume: float  # length * log2(vocabulary)

@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul, sub, truediv
+from typing import NamedTuple
 
 from .errors import AnalysisError
 
@@ -34,9 +34,9 @@ DEFAULT_EPSILON = 0.5
 _SUBNORMAL_SCALE = 2.0**600
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    """All four indices of one distribution, with the inputs that shaped them."""
+class InequalityReport(NamedTuple):
+    """All four indices of one distribution, with the inputs that shaped them (a named
+    tuple)."""
 
     gini: float
     pietra: float

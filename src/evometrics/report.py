@@ -9,7 +9,6 @@ equal to the in-memory values bit for bit.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 
@@ -54,7 +53,7 @@ def result_entry(
         "statistic": statistic,
         "points": [[v, x] for v, x in points] if points is not None else [],
         "inequality": inequality,
-        "trend": dataclasses.asdict(trend) if trend is not None else None,
+        "trend": trend._asdict() if trend is not None else None,
         "gaps": list(gaps),
     }
     if extra:
@@ -109,5 +108,5 @@ def inequality_csv(versions: list[str], reports: list[InequalityReport]) -> str:
 
 def trend_csv(series: VersionSeries, trend: TrendResult) -> str:
     fields = {"package": series.package, "metric": series.metric, "statistic": series.statistic,
-              **dataclasses.asdict(trend)}
+              **trend._asdict()}
     return csv_table(list(fields), [list(fields.values())])

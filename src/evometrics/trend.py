@@ -11,11 +11,10 @@ correction. The result's ``method`` flag records which path was taken.
 from __future__ import annotations
 
 import math
-import statistics
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import AnalysisError
 
@@ -27,9 +26,12 @@ UPWARD = "upward"
 DOWNWARD = "downward"
 
 
-@dataclass(frozen=True)
-class TrendResult:
-    """Mann-Kendall outputs plus the decision at the chosen significance level."""
+class TrendResult(NamedTuple):
+    """Mann-Kendall outputs plus the decision at the chosen significance level.
+
+    A named tuple, whose ``_asdict()`` gives the report's ``trend`` object (and the
+    trend columns of its CSV) in field order.
+    """
 
     s: int
     var_s: float
@@ -151,13 +153,22 @@ def kendall_tau_b(series) -> float:
     return _tau_b(len(x), mk_s(x), _tie_group_sizes(x))
 
 
+def _median(values) -> float:
+    """The median of nonempty ``values`` by the rule of ``statistics.median``, so with its
+    bits: the middle value once sorted, or (a + b) / 2 of the two middle values, which
+    overflows to inf where a + b does."""
+    data = sorted(values)
+    half = len(data) // 2
+    if len(data) % 2:
+        return data[half]
+    return (data[half - 1] + data[half]) / 2
+
+
 def sen_slope(series) -> float:
     """Median of all pairwise slopes (x_j - x_i) / (j - i), i < j."""
     x = _validate(series)
     n = len(x)
-    return statistics.median(
-        [(x[j] - x[i]) / (j - i) for i in range(n - 1) for j in range(i + 1, n)]
-    )
+    return _median([(x[j] - x[i]) / (j - i) for i in range(n - 1) for j in range(i + 1, n)])
 
 
 def mk_test(series, alpha: float = DEFAULT_ALPHA) -> TrendResult:

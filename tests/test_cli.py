@@ -1298,6 +1298,23 @@ class TestDatasetCache:
             with pytest.raises(AttributeError, match="records"):
                 ds.records
 
+    def test_a_dataset_of_the_grouping_alone_prints_and_compares_by_identity(self, tmp_path,
+                                                                             count_loads):
+        manifest, data = write_inputs(tmp_path, *cache_rows())
+        miss, _ = cli._load_dataset(data, Path(manifest).read_text())
+        hit, _ = cli._load_dataset(data, Path(manifest).read_text())
+        again, _ = cli._load_dataset(data, Path(manifest).read_text())
+        assert count_loads[0] == 1  # one miss, then two hits
+        parsed = load_csv(Path(data).read_text(), miss.version_order)
+        for ds in (miss, hit):
+            assert repr(ds) == (f"<MetricsDataset version_order={ds.version_order!r}, "
+                                "records not kept>")
+            assert ds == ds and hash(ds) == hash(ds)
+            assert ds != parsed and parsed != ds
+        assert miss != hit and hit != again
+        assert len({miss, hit, again}) == 3
+        assert version_slices(miss, "p", "m") == version_slices(hit, "p", "m")
+
     def test_an_edited_data_byte_is_a_miss(self, tmp_path, capsys, dataset_cache, count_loads):
         versions, rows = cache_rows()
         manifest, data = write_inputs(tmp_path, versions, rows)

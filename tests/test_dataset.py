@@ -3,6 +3,7 @@
 import bisect
 import gc
 import hashlib
+import inspect
 import json
 import math
 import random
@@ -10,7 +11,6 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
-from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -624,7 +624,7 @@ class TestSlice:
         assert gaps == ("v2", "v3")
 
     def test_repeated_label_in_the_order_is_served_once_at_its_first_position(self):
-        ds = replace(releases_of(*[[1.0, 2.0]] * 4), version_order=("v1", "v2", "v1", "v3"))
+        ds = MetricsDataset(releases_of(*[[1.0, 2.0]] * 4).records, ("v1", "v2", "v1", "v3"))
         assert version_slices(ds, "p", "m") == (
             [("v1", [1.0, 2.0]), ("v2", [1.0, 2.0]), ("v3", [1.0, 2.0])], ()
         )
@@ -701,7 +701,7 @@ class TestLookup:
                 assert version_slices(ds, *key) == reference_slices(ds, *key), key
                 package, metric, _ = key
                 for version in ("v3", "v99"):
-                    one_version = replace(ds, version_order=(version,))
+                    one_version = MetricsDataset(ds.records, (version,))
                     expected, _ = reference_slices(one_version, package, metric, False)
                     if expected:
                         assert slice_distribution(ds, version, package, metric) == expected[0][1]
@@ -729,14 +729,31 @@ class TestLookup:
             assert hash(ds) == hash(twin)
             assert repr(ds) == repr(twin)
             assert MetricsDataset(ds.records, ds.version_order) == ds
-            assert replace(ds, version_order=("v1",)) == replace(twin, version_order=("v1",))
-            assert version_slices(replace(ds), "p", "m") == version_slices(twin, "p", "m")
+            assert MetricsDataset(ds.records, ("v1",)) == MetricsDataset(twin.records, ("v1",))
+            copy = MetricsDataset(ds.records, ds.version_order)
+            assert version_slices(copy, "p", "m") == version_slices(twin, "p", "m")
 
     def test_the_grouping_is_not_a_field(self):
-        assert [f.name for f in fields(MetricsDataset)] == ["records", "version_order"]
-        ds = lookup_dataset(10)
+        assert list(inspect.signature(MetricsDataset).parameters) == ["records", "version_order"]
+        ds, twin = lookup_dataset(10), lookup_dataset(10)
         version_slices(ds, "p", "m")
-        assert list(asdict(ds)) == ["records", "version_order"]
+        assert "_groups" in vars(ds) and "_groups" not in vars(twin)
+        vars(ds)["_groups"] = {}  # a grouping unlike the twin's: no lookup finds anything
+        assert version_slices(ds, "p", "m")[0] == []
+        assert ds == twin
+        assert hash(ds) == hash(twin) == hash((ds.records, ds.version_order))
+        assert repr(ds) == repr(twin)
+        assert repr(ds) == (f"MetricsDataset(records={ds.records!r}, "
+                            f"version_order={ds.version_order!r})")
+
+    def test_attributes_cannot_be_set_or_deleted(self):
+        ds = lookup_dataset(11)
+        for name in ("records", "version_order", "_groups", "other"):
+            with pytest.raises(AttributeError, match=name):
+                setattr(ds, name, ())
+            with pytest.raises(AttributeError, match=name):
+                delattr(ds, name)
+        assert ds == lookup_dataset(11)
 
     def test_racing_first_lookups_match_sequential_runs(self):
         twin = lookup_dataset(9)

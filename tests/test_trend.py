@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import random
+import statistics
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,6 +19,7 @@ from evometrics import (
     mk_variance,
     sen_slope,
 )
+from evometrics.trend import _median
 
 
 def s_statistic(values):
@@ -307,3 +311,51 @@ class TestSenSlope:
     def test_too_short(self):
         with pytest.raises(AnalysisError, match="series too short"):
             sen_slope([4.0])
+
+
+BIG = sys.float_info.max
+
+
+def median_draws(rng):
+    """Float lists of 1 to 12 values: uniform, repeated, signed zeros, and near the top of
+    the float range, where the sum of the two middle values overflows."""
+    pool = [0.0, -0.0, 1.5, -1.5, BIG, -BIG, math.nextafter(BIG, 0.0), 1e308, -1e308, 9e307]
+    values = []
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.random()
+        if kind < 0.4:
+            values.append(rng.uniform(-1e3, 1e3))
+        elif kind < 0.6 and values:
+            values.append(rng.choice(values))  # a repeat
+        else:
+            values.append(rng.choice(pool))
+    return values
+
+
+class TestMedianHelper:
+    """``trend._median``, which serves ``sen_slope`` and the ``median`` statistic, gives the
+    bits of ``statistics.median``."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bits_of_statistics_median_on_random_lists(self, seed):
+        rng = random.Random(seed)
+        for _ in range(2000):
+            values = median_draws(rng)
+            assert _median(values).hex() == statistics.median(values).hex(), values
+
+    def test_odd_even_signed_zeros_and_overflow(self):
+        cases = [[3.0], [2.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [-0.0], [1.0, -0.0, 0.0],
+                 [BIG, BIG], [-BIG, -BIG], [BIG, 1e308, 0.0, BIG], [BIG, -BIG]]
+        for values in cases:
+            assert _median(values).hex() == statistics.median(values).hex(), values
+        assert _median([BIG, BIG]) == math.inf  # (a + b) / 2 overflows, as statistics' does
+        assert _median([2.0, 1.0, 3.0, 4.0]) == 2.5
+
+    def test_sen_slope_gives_the_bits_of_statistics_median_of_its_slopes(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            x = [rng.choice([rng.uniform(-1e6, 1e6), float(rng.randint(-3, 3)), -0.0])
+                 for _ in range(rng.randint(2, 25))]
+            n = len(x)
+            slopes = [(x[j] - x[i]) / (j - i) for i in range(n) for j in range(i + 1, n)]
+            assert sen_slope(x).hex() == statistics.median(slopes).hex(), x
