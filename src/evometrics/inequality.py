@@ -13,16 +13,20 @@ on every index.
 
 Numerics: the values are sorted once, and every sum is ``math.fsum``, which
 rounds the exact sum of its terms once. So an index gives the same bits for
-any order of its input, on any CPU and with any thread count. Theil and
-Atkinson read one list of log ratios ln(x/mu), and Atkinson stays in that log domain.
+any order of its input, on any CPU and with any thread count, and each kernel
+pass feeds ``fsum`` unchanged terms: a pass that would leave every term as it
+is (an abs of a nonnegative difference, a shift by 0.0) is left out. A nan or
+an infinity is found from the sum itself, which is then nan or infinite; only
+a sum that overflows has each value checked. Theil and Atkinson read one list
+of log ratios ln(x/mu), and Atkinson stays in that log domain.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
-from itertools import accumulate, repeat
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain, count, repeat
 from operator import mul, sub, truediv
 from typing import NamedTuple
 
@@ -48,18 +52,21 @@ class InequalityReport(NamedTuple):
 
 def _validate(values) -> tuple[list[float], float]:
     """The values as an ascending list of floats, and their sum."""
-    x = list(map(float, values))
+    x = sorted(map(float, values))
     if not x:
         raise AnalysisError("empty input")
-    if not all(map(math.isfinite, x)):
+    try:  # a nan or infinite term makes the sum nan or infinite, or raises ValueError
+        total = math.fsum(x)
+    except ValueError:  # inf + -inf
+        total = math.nan
+    except OverflowError:  # finite partial sums past the float range, maybe before a nan or inf
+        total = None if all(map(math.isfinite, x)) else math.nan
+    if total is not None and not math.isfinite(total):
         raise AnalysisError("non-finite value")
-    x.sort()
     if x[0] < 0.0:
         raise AnalysisError("negative value")
-    try:
-        total = math.fsum(x)
-    except OverflowError:
-        raise AnalysisError("sum beyond the float range") from None
+    if total is None:
+        raise AnalysisError("sum beyond the float range")
     if total <= 0.0:
         raise AnalysisError("degenerate mean")
     if total / len(x) < sys.float_info.min:  # a subnormal mean, or 0 if rounded: scale up, exactly
@@ -75,8 +82,9 @@ def _gini(x: list[float], total: float) -> float:
     n = len(x)
     if math.isinf(n * total):  # n * total bounds every term and the denominator
         raise AnalysisError("n times the sum beyond the float range")
-    # sum of (2i - n - 1) x_(i), rather than 2 sum i x_(i) - (n + 1) sum x_(i), which cancels
-    return math.fsum(map(mul, range(1 - n, n, 2), x)) / (n * total)
+    # sum of (2i - n - 1) x_(i), rather than 2 sum i x_(i) - (n + 1) sum x_(i), which cancels;
+    # each weight is an integer below 2**53, so the float weight is exact
+    return math.fsum(map(mul, count(1.0 - n, 2.0), x)) / (n * total)
 
 
 def _pietra(x: list[float], total: float) -> float:
@@ -84,17 +92,21 @@ def _pietra(x: list[float], total: float) -> float:
     if math.isinf(n * total):  # n * total bounds the denominator 2 n mu
         raise AnalysisError("n times the sum beyond the float range")
     mu = total / n
-    return math.fsum(map(abs, map(sub, x, repeat(mu)))) / (2.0 * n * mu)
+    # |x_i - mu| without an abs pass: below the mean it is mu - x_i, the same rounded value
+    below = bisect_left(x, mu)
+    deviations = chain(map(sub, repeat(mu, below), x), map(sub, x[below:], repeat(mu)))
+    return math.fsum(deviations) / (2.0 * n * mu)
 
 
 def _log_ratios(x: list[float], total: float) -> tuple[list[float], list[float], int]:
     """The positive values' ratios x_i / mu, ascending, their logs, and the number of zeros."""
     mu = total / len(x)
     zeros = bisect_right(x, 0.0)
-    r = list(map(truediv, x[zeros:], repeat(mu)))
-    lost = bisect_right(r, 0.0)  # ratios that underflow to 0 still have a log
-    logs = [math.log(v) - math.log(mu) for v in x[zeros:zeros + lost]]
-    logs += map(math.log, r[lost:])
+    r = list(map(truediv, x[zeros:] if zeros else x, repeat(mu)))
+    lost = bisect_right(r, 0.0)
+    logs = list(map(math.log, r[lost:] if lost else r))
+    if lost:  # ratios that underflow to 0 still have a log
+        logs[:0] = [math.log(v) - math.log(mu) for v in x[zeros:zeros + lost]]
     return r, logs, zeros
 
 
@@ -114,8 +126,12 @@ def _atkinson(logs: list[float], zeros: int, epsilon: float) -> float:
         log_mean = math.fsum(logs) / n  # the geometric mean
     else:  # below aversion 1 no ratio exceeds n, so no term needs a shift; above it, the
         # smallest ratio's term is the largest, shifted inside the product: d l_i may overflow
-        top = logs[0] if d < 0.0 else 0.0
-        terms = map(math.expm1, map(mul, map(sub, logs, repeat(top)), repeat(d)))
+        if d < 0.0:
+            top = logs[0]
+            shifted = map(sub, logs, repeat(top))
+        else:  # no pass: l - 0.0 is l, -0.0 too
+            top, shifted = 0.0, logs
+        terms = map(math.expm1, map(mul, shifted, repeat(d)))
         log_mean = top + math.log1p((math.fsum(terms) - zeros) / n) / d
     # 1 - M / mu; max turns an equal slice's -0.0, or a rounding below 0, into 0.0
     return max(0.0, -math.expm1(log_mean))

@@ -126,26 +126,27 @@ def render_svg(
         f'stroke="{AXIS_COLOR}" stroke-width="1.5"/>'
     )
 
-    for idx, version in enumerate(versions):
-        x = x_px(idx)
+    # each coordinate is formatted once: an x serves a tick, its label, the line and a marker
+    xs = [f"{x_px(idx):.2f}" for idx in range(count)]
+    ys = [f"{y_px(value):.2f}" for value in values]
+    label_y = f"{plot_bottom + 16:.2f}"
+    for x, version in zip(xs, versions):
         lines.append(
-            f'<line x1="{x:.2f}" y1="{plot_bottom}" x2="{x:.2f}" y2="{plot_bottom + 5}" '
+            f'<line x1="{x}" y1="{plot_bottom}" x2="{x}" y2="{plot_bottom + 5}" '
             f'stroke="{AXIS_COLOR}" stroke-width="1"/>'
         )
         lines.append(
-            f'<text x="{x:.2f}" y="{plot_bottom + 16:.2f}" text-anchor="end" font-size="10" '
-            f'font-family="sans-serif" transform="rotate(-35 {x:.2f} {plot_bottom + 16:.2f})">'
+            f'<text x="{x}" y="{label_y}" text-anchor="end" font-size="10" '
+            f'font-family="sans-serif" transform="rotate(-35 {x} {label_y})">'
             f"{_escape(version)}</text>"
         )
 
-    points = " ".join(f"{x_px(i):.2f},{y_px(v):.2f}" for i, v in enumerate(values))
+    points = " ".join(map(",".join, zip(xs, ys)))
     lines.append(
         f'<polyline fill="none" stroke="{LINE_COLOR}" stroke-width="2" points="{points}"/>'
     )
-    for idx, value in enumerate(values):
-        lines.append(
-            f'<circle cx="{x_px(idx):.2f}" cy="{y_px(value):.2f}" r="3" fill="{LINE_COLOR}"/>'
-        )
+    for x, y in zip(xs, ys):
+        lines.append(f'<circle cx="{x}" cy="{y}" r="3" fill="{LINE_COLOR}"/>')
 
     footer_y = HEIGHT - 26
     if trend is not None:

@@ -1,8 +1,10 @@
 """What a CLI process imports, and the package's exports, eager and lazy.
 
-Each command runs in a fresh ``python -I -S`` interpreter with ``src`` put on
+Each command runs in a fresh ``python -I -S -B`` interpreter with ``src`` put on
 ``sys.path`` by the code itself, so neither the environment nor a ``.pth``
-file of an installed copy can change what is loaded.
+file of an installed copy can change what is loaded. ``-I`` also ignores
+``PYTHONDONTWRITEBYTECODE``, so ``-B`` keeps the children from writing
+``__pycache__`` folders into ``src``.
 """
 
 import json
@@ -35,10 +37,10 @@ print(json.dumps([codes, sorted(set(json.loads(sys.argv[3])) & set(sys.modules))
 
 
 def fresh_run(argvs, watched=(*HEAVY, LEXER)):
-    """The exit codes of ``argvs`` run in turn in one fresh ``-I -S`` interpreter, and
+    """The exit codes of ``argvs`` run in turn in one fresh ``-I -S -B`` interpreter, and
     the ``watched`` modules it has loaded at the end."""
     proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", RUN, str(SRC), json.dumps(argvs),
+        [sys.executable, "-I", "-S", "-B", "-c", RUN, str(SRC), json.dumps(argvs),
          json.dumps(watched)],
         capture_output=True, text=True, timeout=120, check=False,
     )
@@ -83,7 +85,7 @@ class TestImportBudget:
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import evometrics; "
                 f"before = {LEXER!r} in sys.modules; evometrics.tokenize; "
                 f"print(before, {LEXER!r} in sys.modules)")
-        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC)],
+        proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(SRC)],
                               capture_output=True, text=True, timeout=120, check=False)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False True\n"
