@@ -134,18 +134,17 @@ def _cache_entry(data_sha256: str, version_order: tuple[str, ...] | None) -> Pat
 def _load_dataset(path: str, manifest_text: str | None = None) -> tuple[MetricsDataset, dict]:
     """The dataset of the data file at ``path``, and the file's report stamp.
 
-    Of the three ways ``MetricsDataset`` names to make a dataset, this takes two:
-    ``load_csv`` on a miss, and a cache entry on a hit. The version order is
-    ``load_manifest(manifest_text)``; without a manifest, any version is accepted. A
-    data file that cannot be read or decoded is refused before a manifest that does
-    not parse. An entry is the sha256 of its payload, then the marshalled payload of
-    ``dataset._pack_groups``. A hit decodes no text and builds no record: its dataset
-    (``dataset._unpack_groups``) holds only the grouping, whose slices are in entity
-    order already, and has no ``records``. An entry that cannot be read, checked or
-    unpacked is a miss. A miss decodes the file and runs ``load_csv``, and only a
-    dataset it accepted is stored; its dataset, too, keeps only the grouping (not
-    the text its ``records`` would be parsed from). A cache that cannot be written
-    is not used.
+    The dataset is ``load_csv``'s on a miss, and on a hit the one a cache entry holds,
+    which equals it. The version order is ``load_manifest(manifest_text)``; without a
+    manifest, any version is accepted. A data file that cannot be read or decoded is
+    refused before a manifest that does not parse. An entry is the sha256 of its
+    payload, then the marshalled payload of ``dataset._pack_groups``: the version order
+    and the grouping, entity labels included. A hit decodes no text and builds no
+    record: its dataset (``dataset._unpack_groups``) has the grouping, whose slices are
+    in entity order already, and builds its ``records`` from it only when they are
+    read. An entry that cannot be read, checked or unpacked is a miss. A miss decodes
+    the file and runs ``load_csv``, and only a dataset it accepted is stored. A cache
+    that cannot be written is not used.
     """
     data, stamp = _read_file(path)
     version_order = None
@@ -167,8 +166,6 @@ def _load_dataset(path: str, manifest_text: str | None = None) -> tuple[MetricsD
     text = _decode(path, data)
     del data  # the bytes are freed before the parse
     ds = load_csv(text, version_order)
-    # the CLI reads no records: like a hit's, its dataset holds the grouping, not the text
-    ds = dataset._dataset(ds.version_order, ds._groups, None)
     del text  # the text is freed before the entry is made
     if entry is not None:
         try:
@@ -450,12 +447,19 @@ def cmd_extract(args) -> int:
 
 
 def _write_extract_output(body: str, output: str) -> None:
+    """Write the header and ``body`` to ``output``, or append ``body`` to the dataset there.
+
+    The new rows must load on their own, and an existing file must load too. An append
+    is refused where the file already holds a (version, package, entity, metric) key of
+    the new rows; where several collide, the refusal names the first key of the new rows
+    in grouping order (package, metric, version, then entity) that the file holds. Each
+    text is parsed once, and no ``Record`` is built.
+    """
     text = ",".join(CSV_HEADER) + "\n" + body  # as --output - prints it
     try:  # the new rows must load on their own, numbered as in that text
-        load_csv(text)
+        new = load_csv(text)
     except InputError as exc:
         raise InputError(f"extracted rows, {exc}") from exc
-    new_keys = set(dataset._keys(text))
     if output == "-":
         sys.stdout.write(text)
         return
@@ -464,18 +468,16 @@ def _write_extract_output(body: str, output: str) -> None:
         old = path.read_bytes() if path.is_file() else b""  # a device or FIFO is written, not read
         if old:  # append to an existing dataset, which must load as one
             try:
-                old_text = old.decode("utf-8")
-                load_csv(old_text)
+                existing = load_csv(old.decode("utf-8"))
             except UnicodeDecodeError as exc:
                 line = old.count(b"\n", 0, exc.start) + 1
                 raise InputError(f"cannot append to {output}: line {line}: {exc}") from exc
             except InputError as exc:
                 raise InputError(f"cannot append to {output}: {exc}") from exc
             # a key already in the file would make load_csv reject the result as a duplicate
-            for key in dataset._keys(old_text):
-                if key in new_keys:
-                    raise InputError(f"cannot append to {output}: it already holds "
-                                     f"records for {key[:3]!r}")
+            if key := dataset._first_held(new, existing):
+                raise InputError(f"cannot append to {output}: it already holds "
+                                 f"records for {key[:3]!r}")
             if not old.endswith(b"\n"):  # a last row without its newline
                 body = "\n" + body
             data = old + body.encode("utf-8")

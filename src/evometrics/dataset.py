@@ -41,22 +41,19 @@ class Record(NamedTuple):
 class MetricsDataset:
     """Immutable record table plus the analysis order of its versions.
 
-    Lookups read one grouping: package -> metric -> version -> the values, in
-    entity order. A dataset is made in one of three ways:
-
-    - from records, ``MetricsDataset(records, version_order)``, which groups them on its
-      first lookup, by the routine ``load_csv`` uses (``_group``, ``_sort``,
-      ``_values``);
-    - by ``load_csv``, which builds the grouping as it parses and keeps besides it
-      only the text, from which ``records`` is parsed again on first read (which
-      costs about as much as the load; no lookup reads ``records``);
-    - from the grouping alone (``_dataset`` with no text, as a CLI cache entry or
-      miss makes it): it has no ``records``, and reading them raises AttributeError.
+    A dataset is its version order and one grouping, which every lookup reads:
+    package -> metric -> version -> (entities, values), each release's entity labels
+    beside its values, in entity order. ``load_csv`` and a CLI cache entry make a
+    dataset from the grouping (``_dataset``), and its ``records`` are built from the
+    grouping on first read, in grouping order: package, metric and version, each in
+    the order it first came, then entity. A dataset made from records,
+    ``MetricsDataset(records, version_order)``, keeps the records it was given and
+    groups them on its first lookup, by the routine ``load_csv`` uses (``_group``,
+    ``_sort``).
 
     Every lookup copies one list per version. Attributes cannot be set or deleted.
     Equality, hash and repr are over (records, version_order); the grouping stays
-    out of them. A dataset that holds only the grouping compares and hashes by
-    identity, and its repr says its records are not kept.
+    out of them.
     """
 
     def __init__(self, records: tuple[Record, ...], version_order: tuple[str, ...]):
@@ -68,54 +65,41 @@ class MetricsDataset:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete attribute {name!r} of a MetricsDataset")
 
-    def _key(self) -> tuple | None:
-        """(records, version_order), or None where the dataset holds only the grouping."""
-        if "records" not in self.__dict__ and self.__dict__.get("_text") is None:
-            return None
-        return self.records, self.version_order
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        key = self._key()
-        return self is other if key is None else key == other._key()
+        return (self.records, self.version_order) == (other.records, other.version_order)
 
     def __hash__(self) -> int:
-        key = self._key()
-        return object.__hash__(self) if key is None else hash(key)
+        return hash((self.records, self.version_order))
 
     def __repr__(self) -> str:
-        key = self._key()
-        if key is None:
-            return f"<MetricsDataset version_order={self.version_order!r}, records not kept>"
-        return f"MetricsDataset(records={key[0]!r}, version_order={key[1]!r})"
+        return f"MetricsDataset(records={self.records!r}, version_order={self.version_order!r})"
 
     @cached_property
     def _groups(self) -> dict:
-        """package -> metric -> version -> the values, in entity order.
+        """package -> metric -> version -> (entities, values), in entity order.
 
         The sort is stable, so the records of one entity keep their file order.
         """
         groups = _group({}, self.records, {})
         _sort(groups)
-        return _values(groups)
+        return groups
 
-    def __getattr__(self, name: str) -> tuple[Record, ...]:
-        """``records`` of a dataset ``load_csv`` made, parsed again from its text on first
-        read, chunk by chunk as ``load_csv`` parses it; equal labels are one string object."""
-        text = self.__dict__.get("_text") if name == "records" else None
-        if text is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        shared: dict[str, str] = {}  # one string object per distinct label
+    @cached_property
+    def records(self) -> tuple[Record, ...]:
+        """The records of a dataset made from its grouping, built from it on first read, in
+        grouping order; equal labels are one string object, as in the grouping."""
         records = []
         with _acyclic():
-            for *labels, value_texts in _parsed(text):
-                labels = [list(map(shared.setdefault, column, column)) for column in labels]
+            for package, metric, version, (entities, values) in _releases(self._groups):
                 records += map(tuple.__new__, repeat(Record),
-                               zip(*labels, map(float, value_texts)))
-            records = tuple(records)
-        self.__dict__["records"] = records
-        return records
+                               zip(repeat(version), repeat(package), entities, repeat(metric),
+                                   values))
+            return tuple(records)
+
+
+_NO_RELEASE = ((), ())  # the (entities, values) of a release no row holds
 
 
 def _group(groups: dict, rows: Iterable[tuple], shared: dict[str, str]) -> dict:
@@ -136,63 +120,72 @@ def _group(groups: dict, rows: Iterable[tuple], shared: dict[str, str]) -> dict:
 
 
 def _sort(groups: dict) -> set[tuple[str, str, str, str]]:
-    """Sorts the pairs of each release of a ``_group`` result by entity, stably, and returns
-    the (version, package, entity, metric) keys that more than one pair holds."""
+    """Sorts the pairs of each release of a ``_group`` result by entity, stably, and makes
+    them the release's (entities, values); returns the (version, package, entity, metric)
+    keys that more than one pair holds.
+
+    Equal entity tuples are one object, which ``marshal`` writes once.
+    """
     repeated = set()
+    shared: dict[tuple, tuple] = {}  # one object per distinct entity tuple
     for package, by_metric in groups.items():
         for metric, by_version in by_metric.items():
             for version, pairs in by_version.items():
                 pairs.sort(key=_FIRST)
-                entities = list(map(_FIRST, pairs))
+                entities = tuple(map(_FIRST, pairs))
                 if len(set(entities)) != len(entities):
                     repeated.update((version, package, entity, metric)
                                     for entity, later in zip(entities, entities[1:])
                                     if entity == later)
+                entities = shared.setdefault(entities, entities)
+                by_version[version] = entities, list(map(_SECOND, pairs))
     return repeated
 
 
-def _values(groups: dict) -> dict:
-    """``groups`` with the pairs of each release replaced by their values."""
-    for by_metric in groups.values():
-        for by_version in by_metric.values():
-            for version, pairs in by_version.items():
-                by_version[version] = list(map(_SECOND, pairs))
-    return groups
+def _releases(groups: dict) -> Iterator[tuple[str, str, str, tuple]]:
+    """The (package, metric, version, (entities, values)) of each release of a grouping, in
+    grouping order."""
+    for package, by_metric in groups.items():
+        for metric, by_version in by_metric.items():
+            for version, release in by_version.items():
+                yield package, metric, version, release
 
 
-def _dataset(order: tuple[str, ...], groups: dict, text: str | None) -> MetricsDataset:
-    """A dataset of ``order`` whose grouping is ``groups``, and whose ``records`` are parsed
-    from ``text``, a CSV ``load_csv`` accepted (or, with None, cannot be read)."""
+def _dataset(order: tuple[str, ...], groups: dict) -> MetricsDataset:
+    """A dataset of ``order`` whose grouping is ``groups``."""
     ds = object.__new__(MetricsDataset)
-    ds.__dict__.update(version_order=order, _text=text, _groups=groups)
+    ds.__dict__.update(version_order=order, _groups=groups)
     return ds
 
 
 def _pack_groups(ds: MetricsDataset) -> tuple:
     """The version order and grouping of ``ds`` as plain data for ``marshal``, each
     release's values packed as doubles, so each value is written with its bits."""
-    return ds.version_order, {package: {metric: {version: array("d", values).tobytes()
-                                                 for version, values in by_version.items()}
-                                        for metric, by_version in by_metric.items()}
-                              for package, by_metric in ds._groups.items()}
+    return ds.version_order, {
+        package: {metric: {version: (entities, array("d", values).tobytes())
+                           for version, (entities, values) in by_version.items()}
+                  for metric, by_version in by_metric.items()}
+        for package, by_metric in ds._groups.items()}
 
 
 def _unpack_groups(payload: object) -> MetricsDataset:
     """The dataset ``_pack_groups`` took apart, each release's values an ``array("d")``
-    (a lookup copies out only the floats it reads), with no ``records``.
+    (a lookup copies out only the floats it reads).
 
     Raises ValueError on any other shape: not a pair of a tuple of str and a
-    dict -> dict -> dict -> bytes whose lengths are multiples of 8.
+    dict -> dict -> dict -> pair of a tuple of str and bytes, 8 per label. Each
+    distinct entity tuple is checked once.
     """
     if not isinstance(payload, tuple) or len(payload) != 2:
         raise ValueError("not a pair")
     order, packed = payload
     if not isinstance(order, tuple) or not all(isinstance(v, str) for v in order):
         raise ValueError("version order not a tuple of str")
-    return _dataset(order, {package: {metric: {version: _doubles(values)
-                                               for version, values in _items(by_version)}
+    checked: set[int] = set()  # the ids of the entity tuples found to be tuples of str
+    return _dataset(order, {package: {metric: {version: _release(release, checked)
+                                               for version, release in _items(by_version)}
                                       for metric, by_version in _items(by_metric)}
-                            for package, by_metric in _items(packed)}, None)
+                            for package, by_metric in _items(packed)})
 
 
 def _items(level: object):
@@ -201,10 +194,19 @@ def _items(level: object):
     return level.items()
 
 
-def _doubles(packed: object) -> array:
-    if not isinstance(packed, bytes) or len(packed) % 8:
-        raise ValueError("values not packed doubles")
-    return array("d", packed)
+def _release(packed: object, checked: set[int]) -> tuple[tuple[str, ...], array]:
+    """The (entities, values) of a packed release; ``checked`` holds the ids of the entity
+    tuples already checked, which the payload keeps alive."""
+    if not isinstance(packed, tuple) or len(packed) != 2:
+        raise ValueError("a release not a pair")
+    entities, values = packed
+    if id(entities) not in checked:
+        if not isinstance(entities, tuple) or not all(isinstance(e, str) for e in entities):
+            raise ValueError("entities not a tuple of str")
+        checked.add(id(entities))
+    if not isinstance(values, bytes) or len(values) != 8 * len(entities):
+        raise ValueError("values not one packed double per entity")
+    return entities, array("d", values)
 
 
 class VersionSeries(NamedTuple):
@@ -303,19 +305,18 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
     grouping lookups read (see ``MetricsDataset``); no record is built, and
     only the entities, which the releases hold until the last chunk is in,
     and the grouping's keys are mapped to one string object per label.
-    Duplicates are found per release
-    once the last chunk is in: each release is sorted by entity, and a key it
-    holds twice is refused. So beyond the text, which the dataset keeps to
-    parse its ``records`` from on first read (where equal labels are one
-    shared string object), and the grouping, a load's memory is bounded by the
-    chunk, not by the file. A refusal's too: beside the grouping of the rows
-    before the failing chunk, it keys only that chunk's rows (read again line
-    by line, with the earlier keys they repeat) or, for a duplicate, the rows
-    of the repeated keys (the text read again a chunk at a time), never every
-    row.
+    Duplicates are found per release once the last chunk is in: each release
+    is sorted by entity, its entities kept as a tuple beside its values, and a
+    key it holds twice is refused. The dataset keeps no text: its ``records``
+    are built from the grouping on first read. So beyond the grouping, a
+    load's memory is bounded by the chunk, not by the file. A refusal's too:
+    beside the grouping of the rows before the failing chunk, it keys only
+    that chunk's rows (read again line by line, with the earlier keys they
+    repeat) or, for a duplicate, the rows of the repeated keys (the text read
+    again a chunk at a time), never every row.
     """
     known = frozenset(version_order) if version_order is not None else None
-    groups: dict = {}  # as _group builds it, then _sort and _values
+    groups: dict = {}  # as _group builds it, then _sort
     implied: dict[str, None] = {}  # versions by first appearance
     shared: dict[str, str] = {}  # one string object per entity and grouping key label
     line, end = 2, _body_start(text)  # the next chunk's first line number, and where it starts
@@ -343,11 +344,10 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
             _group(groups, zip(*labels, values), shared)
             if known is None:
                 implied.update(dict.fromkeys(versions))
-        if repeated := _sort(groups):
+        if repeated := _sort(groups):  # the pairs are freed before the cyclic GC runs again
             raise _first_repeat(text, repeated)
-        _values(groups)  # the pairs are freed before the cyclic GC runs again
     order = tuple(version_order) if version_order is not None else tuple(map(shared.get, implied))
-    return _dataset(order, groups, text)
+    return _dataset(order, groups)
 
 
 def _body_start(text: str) -> int:
@@ -397,22 +397,6 @@ def _columns(chunk: str) -> tuple[int, list[list[str]] | None]:
     return lines, [fields[i::5] for i in range(5)]
 
 
-def _parsed(text: str) -> Iterator[list[list[str]]]:
-    """The five columns of field texts (see ``_columns``) of each chunk of a CSV ``text``
-    that ``load_csv`` accepts, chunk by chunk as it parses them."""
-    end = _body_start(text)
-    while end < len(text):
-        start, end = end, _chunk_end(text, end)
-        yield _columns(text[start:end])[1]
-
-
-def _keys(text: str) -> Iterator[tuple[str, str, str, str]]:
-    """The (version, package, entity, metric) key of each row of a CSV ``text`` that
-    ``load_csv`` accepts, in row order; no ``Record`` is built."""
-    for *labels, _ in _parsed(text):
-        yield from zip(*labels)
-
-
 @contextmanager
 def _acyclic():
     """The cyclic GC paused while acyclic objects are built: it would only rescan them."""
@@ -460,9 +444,18 @@ def _holds(groups: dict, key: tuple) -> bool:
     if len(key) != 4:
         return False
     version, package, entity, metric = key
-    pairs = groups.get(package, {}).get(metric, {}).get(version, ())
-    i = bisect_left(pairs, entity, key=_FIRST)
-    return i < len(pairs) and pairs[i][0] == entity
+    entities = groups.get(package, {}).get(metric, {}).get(version, _NO_RELEASE)[0]
+    i = bisect_left(entities, entity)
+    return i < len(entities) and entities[i] == entity
+
+
+def _first_held(new: MetricsDataset, old: MetricsDataset) -> tuple[str, str, str, str] | None:
+    """The first (version, package, entity, metric) key of ``new``, in grouping order, that
+    ``old`` holds, or None."""
+    keys = ((version, package, entity, metric)
+            for package, metric, version, (entities, _) in _releases(new._groups)
+            for entity in entities)
+    return next(filter(partial(_holds, old._groups), keys), None)
 
 
 def _first_repeat(text: str, repeated: set) -> InputError:
@@ -497,7 +490,7 @@ def version_slices(
     slices, gaps = [], []
     # a repeated label is served once, at its first place
     for version in dict.fromkeys(ds.version_order):
-        values = list(by_version.get(version, ()))
+        values = list(by_version.get(version, _NO_RELEASE)[1])
         if drop_zeros:
             values = [value for value in values if value > 0]
         if values:
@@ -509,7 +502,7 @@ def version_slices(
 
 def slice_distribution(ds: MetricsDataset, version: str, package: str, metric: str) -> list[float]:
     """Entity-sorted values of one metric over one (version, package) slice."""
-    values = list(ds._groups.get(package, {}).get(metric, {}).get(version, ()))
+    values = list(ds._groups.get(package, {}).get(metric, {}).get(version, _NO_RELEASE)[1])
     if not values:
         raise AnalysisError(
             f"empty slice: version={version!r} package={package!r} metric={metric!r}"

@@ -707,6 +707,26 @@ class TestExtractCommand:
         assert live_records() == before
         assert len(load_csv(appended.decode(), ["v0", "v1"]).records) == 30_007
 
+    def test_an_append_colliding_on_several_entities_names_the_first_in_grouping_order(
+        self, tmp_path, capsys
+    ):
+        sources = [tmp_path / name for name in ("a.c", "b.c", "c.c")]
+        for src in sources:
+            src.write_text("a = b + c;\n")
+        a, b, c = (src.as_posix() for src in sources)
+        out_csv = tmp_path / "dataset.csv"
+        # three colliding entities, which the file lists in another order than the new rows'
+        # grouping: their first metric (halstead_n1), then entity order, names b.c
+        out_csv.write_text(HEADER + f"v1,p,{c},halstead_n1,1\nv1,p,{a},halstead_effort,1\n"
+                                    f"v1,p,{b},halstead_n1,1\n")
+        before = out_csv.read_bytes()
+        code, out, err = run_cli(["extract", *map(str, sources), "--version", "v1", "--package",
+                                  "p", "--output", str(out_csv)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot append to {out_csv}: it already holds records for "
+                       f"{('v1', 'p', b)!r}\n")
+        assert out_csv.read_bytes() == before
+
     def test_append_to_foreign_header_exits_2_naming_the_file(self, tmp_path, capsys):
         src = tmp_path / "f.cc"
         src.write_text("a = b;\n")
@@ -1280,40 +1300,55 @@ class TestDatasetCache:
         assert sorted((p.name, p.read_bytes()) for p in tmp_path.glob("*.svg")) == plots
         assert len(loaded) == 2  # the manifest's key and diversity's: a hit parses nothing
         assert len(hits) == 2 * len(argvs) - len(loaded)  # every run but the two misses
-        for hit in hits:  # the grouping only: its records cannot be derived
-            with pytest.raises(AttributeError, match="records"):
-                hit.records
         Path(data).write_text(Path(data).read_text() + "v1,r,e0,m,1\n")
         assert run_cli(argvs[0], capsys)[0] == 0  # a miss parses, and builds no record either
         assert len(loaded) == 3
-        assert not any("records" in vars(ds) for ds in loaded)
+        assert not any("records" in vars(ds) for ds in loaded + hits)
         assert live_records() == before
+        for hit in hits:  # each equals the load of its key, once its records are built
+            assert any(hit == ds and hash(hit) == hash(ds) for ds in loaded[:2])
 
-    def test_a_miss_keeps_only_the_grouping_as_a_hit_does(self, tmp_path, count_loads):
+    def test_a_miss_and_a_hit_keep_no_text(self, tmp_path, count_loads):
         manifest, data = write_inputs(tmp_path, *cache_rows())
         for expected_loads in (1, 1):  # a miss, then a hit
             ds, _ = cli._load_dataset(data, Path(manifest).read_text())
             assert count_loads[0] == expected_loads
-            assert vars(ds)["_text"] is None  # the text is freed once parsed
-            with pytest.raises(AttributeError, match="records"):
-                ds.records
+            assert set(vars(ds)) == {"version_order", "_groups"}
 
-    def test_a_dataset_of_the_grouping_alone_prints_and_compares_by_identity(self, tmp_path,
-                                                                             count_loads):
-        manifest, data = write_inputs(tmp_path, *cache_rows())
-        miss, _ = cli._load_dataset(data, Path(manifest).read_text())
-        hit, _ = cli._load_dataset(data, Path(manifest).read_text())
-        again, _ = cli._load_dataset(data, Path(manifest).read_text())
-        assert count_loads[0] == 1  # one miss, then two hits
-        parsed = load_csv(Path(data).read_text(), miss.version_order)
-        for ds in (miss, hit):
-            assert repr(ds) == (f"<MetricsDataset version_order={ds.version_order!r}, "
-                                "records not kept>")
-            assert ds == ds and hash(ds) == hash(ds)
-            assert ds != parsed and parsed != ds
-        assert miss != hit and hit != again
-        assert len({miss, hit, again}) == 3
-        assert version_slices(miss, "p", "m") == version_slices(hit, "p", "m")
+    @pytest.mark.parametrize("form", ["plain", "crlf", "padded"])
+    @pytest.mark.parametrize("table", ["fixture", "extremes"])
+    @pytest.mark.parametrize("manifest", [True, False], ids=["manifest", "no manifest"])
+    def test_a_miss_and_a_hit_equal_a_fresh_load(self, tmp_path, count_loads, table, form,
+                                                 manifest):
+        if table == "fixture":
+            manifest_text = (FIXTURES / "synthetic_manifest.json").read_text()
+            text = (FIXTURES / "synthetic_metrics.csv").read_text()
+        else:
+            versions, rows = cache_rows()
+            rows += ["v2,r,e3,m,-0.0", "v2,r,e1,m,5e-324", "v2,r,e2,m,1.7976931348623157e308",
+                     "v4,r,e0,m,-0.0", "v5,r,e0,m,0", "v5,r,e1,m,-5e-324"]
+            manifest_text = json.dumps({"versions": versions})
+            text = HEADER + "".join(f"{r}\n" for r in rows)
+        if form == "padded":  # a space around each comma
+            text = text.replace(",", " , ")
+        elif form == "crlf":
+            text = text.replace("\n", "\r\n")
+        if not manifest:
+            manifest_text = None
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        fresh = load_csv(text, None if manifest_text is None else load_manifest(manifest_text))
+
+        def bits(ds):  # -0.0 and 0.0 differ here, and float.hex refuses an int
+            return [(*r[:4], float.hex(r.value)) for r in ds.records]
+
+        for expected_loads in (1, 1):  # a miss, then a hit
+            ds, _ = cli._load_dataset(str(path), manifest_text)
+            assert count_loads[0] == expected_loads
+            assert bits(ds) == bits(fresh) and ds.records == fresh.records
+            assert ds.version_order == fresh.version_order
+            assert ds == fresh and fresh == ds and hash(ds) == hash(fresh)
+            assert repr(ds) == repr(fresh)
 
     def test_an_edited_data_byte_is_a_miss(self, tmp_path, capsys, dataset_cache, count_loads):
         versions, rows = cache_rows()
@@ -1346,7 +1381,8 @@ class TestDatasetCache:
 
     @pytest.mark.parametrize("damage", [
         "truncated", "empty", "garbage", "flipped", "not-a-pair", "order-not-str",
-        "group-not-bytes", "group-not-doubles", "level-not-a-dict",
+        "group-not-bytes", "group-not-doubles", "level-not-a-dict", "release-not-a-pair",
+        "entities-a-list", "entity-not-str", "entities-one-short", "values-one-short",
     ])
     def test_a_damaged_entry_is_a_miss_and_is_rewritten(self, tmp_path, capsys, dataset_cache,
                                                         count_loads, damage):
@@ -1358,12 +1394,23 @@ class TestDatasetCache:
         [entry] = entries(dataset_cache)
         good = entry.read_bytes()
         order, groups = marshal.loads(good[32:])
+        entities, values = groups["q"]["m"]["v6"]  # the last release, after others share its tuple
+        assert all(release[0] is entities for release in groups["p"]["m"].values())
+
+        def last(release):  # the payload with the last release replaced
+            return order, {**groups, "q": {"m": {**groups["q"]["m"], "v6": release}}}
+
         payload = {
             "not-a-pair": [order, groups],  # a list, where it would unpack as one
             "order-not-str": (order[:-1] + (len(order),), groups),
-            "group-not-bytes": (order, {**groups, "p": {"m": {"v1": [1.0] * 8}}}),
-            "group-not-doubles": (order, {**groups, "p": {"m": {"v1": b"\0" * 12}}}),
+            "group-not-bytes": last((entities, [1.0] * len(entities))),
+            "group-not-doubles": last((entities, b"\0" * 12)),
             "level-not-a-dict": (order, {**groups, "p": list(groups["p"].items())}),
+            "release-not-a-pair": last(values),  # the values alone, with no entities
+            "entities-a-list": last((list(entities), values)),
+            "entity-not-str": last((entities[:-1] + (4,), values)),
+            "entities-one-short": last((entities[:-1], values)),
+            "values-one-short": last((entities, values[:-8])),
         }.get(damage)
         if payload is not None:  # well formed, with a checksum that holds, but the wrong shape
             blob = marshal.dumps(payload, 4)
@@ -1437,8 +1484,8 @@ class TestDatasetCache:
         ds = dataset._unpack_groups(marshal.loads(entry.read_bytes()[32:]))
         for by_metric in ds._groups.values():
             for by_version in by_metric.values():
-                for version, values in by_version.items():
-                    by_version[version] = [value + 1 for value in values]
+                for version, (entities, values) in by_version.items():
+                    by_version[version] = entities, [value + 1 for value in values]
         payload = marshal.dumps(dataset._pack_groups(ds), 4)
         forged = hashlib.sha256(payload).digest() + payload  # an entry anyone could write
         entry.write_bytes(forged)

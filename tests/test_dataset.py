@@ -162,6 +162,15 @@ class TestLoadCsv:
         assert first.entity is second.entity
         assert first.metric is second.metric
 
+    def test_each_release_keeps_its_entities_beside_its_values(self):
+        rows = ["v1,p,b,m,2", "v1,p,a,m,1", "v2,p,a,m,3", "v2,p,b,m,4", "v1,q,a,m,5"]
+        ds = load_csv(csv_for(rows), ["v1", "v2"])
+        assert ds._groups == {"p": {"m": {"v1": (("a", "b"), [1.0, 2.0]),
+                                          "v2": (("a", "b"), [3.0, 4.0])}},
+                              "q": {"m": {"v1": (("a",), [5.0])}}}
+        releases = ds._groups["p"]["m"]
+        assert releases["v1"][0] is releases["v2"][0]  # equal entity tuples are one object
+
     def test_equal_grouping_keys_share_one_object(self):
         # marshal writes a shared object once, so a cache entry's bytes depend on the sharing
         ds = load_csv(csv_for(["v1,p,e,m,1", "v1,q,e,m,2", "v2,q,e,p,3", "v1,m,e,v1,4"]))
@@ -269,6 +278,18 @@ def random_csv(rng, padded):
     return (text if rng.random() < 0.8 else text.rstrip("\n")), manifest
 
 
+def in_grouping_order(records):
+    """``records`` in the order a dataset built from its grouping gives them: by package,
+    metric and version, each in the order it first comes, then by entity."""
+    groups = {}
+    for r in records:
+        by_version = groups.setdefault(r.package, {}).setdefault(r.metric, {})
+        by_version.setdefault(r.version, []).append(r)
+    return tuple(r for by_metric in groups.values() for by_version in by_metric.values()
+                 for release in by_version.values()
+                 for r in sorted(release, key=lambda r: r.entity))
+
+
 def assert_one_grouping(ds, reference):
     """Every (package, metric) of a parsed dataset slices as one made from the reference
     loader's records does: the grouping built while parsing follows the records' rule."""
@@ -316,21 +337,12 @@ class TestLoadCsvContract:
         rng = random.Random(2017)
         outcomes = Counter()
         for _ in range(4000):
-            text, manifest = random_csv(rng, padded)
-            try:
-                expected = reference_load_csv(text, manifest)
-            except InputError as exc:
-                with pytest.raises(InputError) as got:
-                    load_csv(text, manifest)
-                assert str(got.value) == str(exc), text
-                rule = str(exc).split(": ", 1)[1]
+            got = assert_like_the_reference(*random_csv(rng, padded))
+            if isinstance(got, str):
+                rule = got.split(": ", 1)[1]
                 outcomes[next(k for k in RULES if rule.startswith(k))] += 1
-                continue
-            ds = load_csv(text, manifest)
-            assert_one_grouping(ds, expected)
-            assert ds == expected, text
-            assert all(type(r) is Record for r in ds.records)
-            outcomes["loaded"] += 1
+            else:
+                outcomes["loaded"] += 1
         for kind in ("loaded", *RULES):
             assert outcomes[kind] >= 20, outcomes
 
@@ -349,17 +361,19 @@ SMALL_CHUNKS = [1, 2, 7, 64]
 
 
 def assert_like_the_reference(text, manifest=None):
-    """load_csv gives the reference loader's dataset, or its refusal word for word."""
+    """load_csv gives the reference loader's dataset, its records in grouping order, or its
+    refusal word for word."""
     try:
-        expected = reference_load_csv(text, manifest)
+        reference = reference_load_csv(text, manifest)
     except InputError as exc:
         with pytest.raises(InputError) as got:
             load_csv(text, manifest)
         assert str(got.value) == str(exc), text
         return str(exc)
     ds = load_csv(text, manifest)
-    assert_one_grouping(ds, expected)
-    assert ds == expected, text
+    assert_one_grouping(ds, reference)
+    assert ds.records == in_grouping_order(reference.records), text
+    assert ds == MetricsDataset(ds.records, reference.version_order), text
     assert all(type(r) is Record for r in ds.records)
     return ds
 
@@ -423,7 +437,7 @@ class TestLoadCsvChunks:
         long_entity = "src/" + "x" * 200 + ".cc"
         text = csv_for(["v1,p,e,m,1", f"v1,p,{long_entity},m,2", "v1,p,f,m,3"])
         ds = assert_like_the_reference(text, ["v1"])
-        assert [r.entity for r in ds.records] == ["e", long_entity, "f"]
+        assert [r.entity for r in ds.records] == ["e", "f", long_entity]  # in entity order
         assert_like_the_reference(text + f"v1,p,{long_entity},m,4\n", ["v1"])
 
     def test_versions_first_seen_in_different_chunks_keep_their_order(self, chunk):
@@ -537,7 +551,8 @@ class TestUnpaddedChunks:
     def test_a_label_with_an_inner_space_or_invisible_character(self, chunk, inner):
         rows = [f"v1,p,e{inner}f,m,1", f"v1,p{inner}q,e,m,2", "v1,p,e,m,3"]
         ds = assert_like_the_reference(csv_for(rows), ["v1"])
-        assert [r.entity for r in ds.records] == [f"e{inner}f", "e", "e"]
+        assert [(r.package, r.entity) for r in ds.records] == [
+            ("p", "e"), ("p", f"e{inner}f"), (f"p{inner}q", "e")]  # in grouping order
         assert dataset._columns("".join(f"{row}\n" for row in rows)) == (3, columns_of(*rows))
         message = assert_like_the_reference(csv_for([*rows, f"v1,p{inner}q,e,m,4"]), ["v1"])
         assert message == f"line 5: duplicate record for {('v1', f'p{inner}q', 'e', 'm')!r}"
@@ -559,7 +574,8 @@ class TestUnpaddedChunks:
     def test_crlf_line_ends(self, chunk):
         rows = ["v1,p,e,m,1", "v1,p,f,m,2"]
         text = csv_for(rows).replace("\n", "\r\n")
-        assert [r.value for r in assert_like_the_reference(text, ["v1"]).records] == [1.0, 2.0]
+        ds = assert_like_the_reference(text, ["v1"])
+        assert ds.records == (("v1", "p", "e", "m", 1.0), ("v1", "p", "f", "m", 2.0))
         assert dataset._columns("v1,p,e,m,1\r\nv1,p,f,m,2\r\n") == (2, columns_of(*rows))
         message = assert_like_the_reference(text + "v1,p,g,m,inf\r\n", ["v1"])
         assert message == "line 4: non-finite value 'inf'"
@@ -789,9 +805,9 @@ def live_records():
     return sum(type(o) is Record for o in gc.get_objects())
 
 
-class TestRecordsOnFirstRead:
-    """A parsed dataset parses its records again from its text when ``records`` is first
-    read."""
+class TestRecordsBuiltFromTheGrouping:
+    """A parsed dataset keeps no text: it builds its records from the grouping when
+    ``records`` is first read, in grouping order."""
 
     VERSIONS = [f"r{k}" for k in range(5)]
     TEXT = csv_for(f"{version},{package},e{j},m,{(j + 1) * (k + 2) % 7}"
@@ -808,8 +824,24 @@ class TestRecordsOnFirstRead:
         records = ds.records
         assert live_records() == before + len(records) == before + 60
         assert records is ds.records  # built once
-        assert records == reference_load_csv(self.TEXT, self.VERSIONS).records
+        assert records == in_grouping_order(reference_load_csv(self.TEXT, self.VERSIONS).records)
         assert all(type(r) is Record for r in records)
+
+    def test_a_dataset_made_from_records_keeps_them(self):
+        records = reference_load_csv(self.TEXT, self.VERSIONS).records  # in file order
+        ds = MetricsDataset(records, tuple(self.VERSIONS))
+        run_pipeline(ds, "p", "m", "gini")
+        assert ds.records is records
+        parsed = load_csv(self.TEXT, self.VERSIONS)  # its records in grouping order
+        assert ds != parsed
+        assert MetricsDataset(in_grouping_order(records), tuple(self.VERSIONS)) == parsed
+
+    def test_a_parsed_dataset_keeps_no_text(self):
+        ds = load_csv(self.TEXT, self.VERSIONS)
+        assert set(vars(ds)) == {"version_order", "_groups"}
+        ds.records
+        assert set(vars(ds)) == {"version_order", "_groups", "records"}
+        assert not any(isinstance(value, str) for value in vars(ds).values())
 
     def test_a_cli_cache_miss_builds_none(self, tmp_path, capsys, monkeypatch):
         manifest, data = tmp_path / "manifest.json", tmp_path / "data.csv"
@@ -830,7 +862,7 @@ class TestRecordsOnFirstRead:
         [ds] = loaded
         assert "records" not in vars(ds)
         assert live_records() == before
-        assert ds.records == reference_load_csv(self.TEXT, self.VERSIONS).records
+        assert ds.records == in_grouping_order(reference_load_csv(self.TEXT, self.VERSIONS).records)
 
 
 class TestBuildSeries:
