@@ -15,7 +15,6 @@ import math
 import os
 import stat
 import sys
-import tempfile
 from array import array
 from collections import Counter
 from pathlib import Path
@@ -506,6 +505,8 @@ def _replace_file(path: str, data: bytes) -> None:
         with open(path, "wb") as fh:
             fh.write(data)
         return
+    import tempfile  # here, not at the top: a command that writes no file never loads it
+
     target = Path(os.path.realpath(path))
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:

@@ -27,7 +27,6 @@ from .inequality import DEFAULT_EPSILON, InequalityReport
 from .trend import DEFAULT_ALPHA, TrendResult, mk_test
 
 CSV_HEADER = ("version", "package", "entity", "metric", "value")
-_FIRST, _SECOND = itemgetter(0), itemgetter(1)  # of a release's (entity, value) pairs
 
 
 class Record(NamedTuple):
@@ -103,42 +102,51 @@ _NO_RELEASE = ((), ())  # the (entities, values) of a release no row holds
 
 
 def _group(groups: dict, rows: Iterable[tuple], shared: dict[str, str]) -> dict:
-    """``groups`` with each (version, package, entity, metric, value) row's (entity, value)
-    appended to its release: package -> metric -> version -> pairs, in row order.
+    """``groups`` with each (version, package, entity, metric, value) row's entity and value
+    appended to its release's two lists: package -> metric -> version -> (entities, values),
+    in row order.
 
     Each key it adds is ``shared``'s object for its label, so that equal labels are one
     object across the grouping, which ``marshal`` writes once (see ``_pack_groups``).
     """
     for version, package, entity, metric, value in rows:
         try:
-            groups[package][metric][version].append((entity, value))
+            entities, values = groups[package][metric][version]
         except KeyError:
             labels = version, package, metric
             version, package, metric = map(shared.setdefault, labels, labels)
-            groups.setdefault(package, {}).setdefault(metric, {})[version] = [(entity, value)]
+            entities, values = [], []
+            groups.setdefault(package, {}).setdefault(metric, {})[version] = entities, values
+        entities.append(entity)
+        values.append(value)
     return groups
 
 
 def _sort(groups: dict) -> set[tuple[str, str, str, str]]:
-    """Sorts the pairs of each release of a ``_group`` result by entity, stably, and makes
-    them the release's (entities, values); returns the (version, package, entity, metric)
-    keys that more than one pair holds.
+    """Sorts each release of a ``_group`` result by entity, stably, its entities made a
+    tuple; returns the (version, package, entity, metric) keys that a release holds more
+    than once.
 
-    Equal entity tuples are one object, which ``marshal`` writes once.
+    A release whose entities already come in order keeps its values list (one ``sorted``
+    and a list compare); any other has its values reordered by a stable argsort of its
+    entities, so the values of a repeated entity keep their row order. Equal entity tuples
+    are one object, which ``marshal`` writes once.
     """
     repeated = set()
     shared: dict[tuple, tuple] = {}  # one object per distinct entity tuple
     for package, by_metric in groups.items():
         for metric, by_version in by_metric.items():
-            for version, pairs in by_version.items():
-                pairs.sort(key=_FIRST)
-                entities = tuple(map(_FIRST, pairs))
-                if len(set(entities)) != len(entities):
+            for version, (entities, values) in by_version.items():
+                ordered = sorted(entities)
+                if ordered != entities:  # the values reordered by a stable argsort
+                    order = sorted(range(len(entities)), key=entities.__getitem__)
+                    values = list(map(values.__getitem__, order))
+                ordered = tuple(ordered)
+                if len(set(ordered)) != len(ordered):
                     repeated.update((version, package, entity, metric)
-                                    for entity, later in zip(entities, entities[1:])
+                                    for entity, later in zip(ordered, ordered[1:])
                                     if entity == later)
-                entities = shared.setdefault(entities, entities)
-                by_version[version] = entities, list(map(_SECOND, pairs))
+                by_version[version] = shared.setdefault(ordered, ordered), values
     return repeated
 
 
@@ -277,7 +285,7 @@ def load_manifest(text: str) -> tuple[str, ...]:
     return tuple(versions)
 
 
-_CHUNK_CHARS = 1 << 18  # load_csv parses its text this many characters at a time, to the next "\n"
+_CHUNK_CHARS = 1 << 14  # load_csv parses its text this many characters at a time, to the next "\n"
 
 
 def _chunk_end(text: str, start: int) -> int:
@@ -300,20 +308,22 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
     is refused for the first of: field count, empty label, unknown version,
     unparsable value, non-finite value, duplicate record.
 
-    The body is parsed in chunks of about 2**18 characters, each ending just
-    after a line feed (see ``_columns``). Each row goes straight into the
-    grouping lookups read (see ``MetricsDataset``); no record is built, and
-    only the entities, which the releases hold until the last chunk is in,
-    and the grouping's keys are mapped to one string object per label.
+    The body is parsed in chunks of about 2**14 characters, each ending just
+    after a line feed (see ``_columns``), so that a chunk's short-lived field
+    strings stay in a core's cache. Each row goes straight into the grouping
+    lookups read (see ``MetricsDataset``): its entity and its value are
+    appended to two lists of its release (``_group``), and no record or pair
+    is built. Only the entities, which the releases hold until the last chunk
+    is in, and the grouping's keys are mapped to one string object per label.
     Duplicates are found per release once the last chunk is in: each release
-    is sorted by entity, its entities kept as a tuple beside its values, and a
-    key it holds twice is refused. The dataset keeps no text: its ``records``
-    are built from the grouping on first read. So beyond the grouping, a
-    load's memory is bounded by the chunk, not by the file. A refusal's too:
-    beside the grouping of the rows before the failing chunk, it keys only
-    that chunk's rows (read again line by line, with the earlier keys they
-    repeat) or, for a duplicate, the rows of the repeated keys (the text read
-    again a chunk at a time), never every row.
+    is sorted by entity (``_sort``), its entities kept as a tuple beside its
+    values, and a key it holds twice is refused. The dataset keeps no text:
+    its ``records`` are built from the grouping on first read. So beyond the
+    grouping, a load's memory is bounded by the chunk, not by the file. A
+    refusal's too: beside the grouping of the rows before the failing chunk,
+    it keys only that chunk's rows (read again line by line, with the earlier
+    keys they repeat) or, for a duplicate, the rows of the repeated keys (the
+    text read again a chunk at a time), never every row.
     """
     known = frozenset(version_order) if version_order is not None else None
     groups: dict = {}  # as _group builds it, then _sort
@@ -344,7 +354,7 @@ def load_csv(text: str, version_order: Sequence[str] | None = None) -> MetricsDa
             _group(groups, zip(*labels, values), shared)
             if known is None:
                 implied.update(dict.fromkeys(versions))
-        if repeated := _sort(groups):  # the pairs are freed before the cyclic GC runs again
+        if repeated := _sort(groups):  # the entity lists are freed before the cyclic GC runs again
             raise _first_repeat(text, repeated)
     order = tuple(version_order) if version_order is not None else tuple(map(shared.get, implied))
     return _dataset(order, groups)

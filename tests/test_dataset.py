@@ -440,6 +440,22 @@ class TestLoadCsvChunks:
         assert [r.entity for r in ds.records] == ["e", "f", long_entity]  # in entity order
         assert_like_the_reference(text + f"v1,p,{long_entity},m,4\n", ["v1"])
 
+    @pytest.mark.parametrize("size", [1, 7, 1 << 14])
+    def test_shuffled_rows_load_like_the_reference(self, monkeypatch, size):
+        # each release's rows out of entity order: its values are reordered by the entities
+        monkeypatch.setattr(dataset, "_CHUNK_CHARS", size, raising=False)
+        versions = [f"r{k}" for k in range(4)]
+        rows = [f"{version},p{p},src/e{j:03}.c,m{m},{(j * 7 + k) % 11 / 4}"
+                for k, version in enumerate(versions) for p in range(3) for j in range(120)
+                for m in range(2)]
+        random.Random(30).shuffle(rows)
+        assert len(csv_for(rows)) > 4 * (1 << 14)
+        assert len(assert_like_the_reference(csv_for(rows), versions).records) == len(rows)
+        version, package, entity, metric, _ = rows[0].split(",")
+        message = assert_like_the_reference(csv_for([*rows, f"{rows[0]}5"]), versions)
+        assert message == (f"line {len(rows) + 2}: duplicate record for "
+                           f"{(version, package, entity, metric)!r}")
+
     def test_versions_first_seen_in_different_chunks_keep_their_order(self, chunk):
         rows = ["b,p,e,m,1", "a,p,e,m,1", "b,p,f,m,1", *(f"c,p,e{i},m,1" for i in range(5)),
                 "a,p,f,m,1", "d,p,e,m,1"]
@@ -472,7 +488,10 @@ class TestLoadCsvChunks:
     def test_transient_memory_per_row_is_bounded(self):
         # tracemalloc counts allocations, so the figure repeats exactly. Splitting the whole
         # body at once took about 210 (Python 3.12, 3.13) to 250 (3.10, 3.11) bytes per row
-        # beyond the text and the records kept; one chunk at a time takes about 125.
+        # beyond the text and the records kept. Chunks of 2**18 characters with (entity,
+        # value) pairs took about 110 (2.9 times what the dataset keeps); chunks of 2**14
+        # with a list of entities and one of values take about 14 (0.4 times), mostly the
+        # entity lists, which the sort replaces by shared tuples.
         rows = 60_000
         versions = [f"{i // 10}.{i % 10}" for i in range(40)]
         text = HEADER + "".join(
@@ -487,6 +506,7 @@ class TestLoadCsvChunks:
             tracemalloc.stop()
         assert len(ds.records) == rows
         assert (peak - retained) / rows < 180
+        assert peak - retained < retained / 2
 
     def test_the_rows_of_an_entity_share_its_label_while_parsing(self, monkeypatch):
         # The releases hold each row's entity until the last chunk is in. With entity labels
@@ -761,6 +781,32 @@ class TestLookup:
         assert repr(ds) == repr(twin)
         assert repr(ds) == (f"MetricsDataset(records={ds.records!r}, "
                             f"version_order={ds.version_order!r})")
+
+    def test_records_out_of_entity_order_group_as_a_stable_sort(self):
+        # a release is sorted by its entities alone: the values of a repeated entity keep
+        # their record order, as sorting the (entity, value) pairs by entity would give
+        rng = random.Random(30)
+        records = []
+        for version in ("v1", "v2", "v3"):
+            for package in ("p", "q"):
+                entities = [f"e{rng.randrange(12)}" for _ in range(40)]
+                if version == "v1":
+                    entities.sort()  # already in entity order
+                records += (Record(version, package, entity, "m", float(rng.randrange(6)))
+                            for entity in entities)
+        expected, unsorted = {}, 0
+        for r in records:
+            by_version = expected.setdefault(r.package, {}).setdefault(r.metric, {})
+            by_version.setdefault(r.version, []).append((r.entity, r.value))
+        for by_metric in expected.values():
+            for by_version in by_metric.values():
+                for version, pairs in by_version.items():
+                    stable = sorted(pairs, key=lambda pair: pair[0])
+                    unsorted += stable != sorted(pairs)  # a repeat's values out of order
+                    by_version[version] = (tuple(e for e, _ in stable), [v for _, v in stable])
+        assert unsorted >= 4
+        ds = MetricsDataset(tuple(records), ("v1", "v2", "v3"))
+        assert ds._groups == expected
 
     def test_attributes_cannot_be_set_or_deleted(self):
         ds = lookup_dataset(11)

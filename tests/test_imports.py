@@ -51,6 +51,8 @@ def fresh_run(argvs, watched=(*HEAVY, LEXER)):
 SERIES = ["--manifest", str(FIXTURES / "synthetic_manifest.json"),
           "--data", str(FIXTURES / "synthetic_metrics.csv"),
           "--package", "tracking", "--metric", "effort"]
+DIVERSITY = ["diversity", "--data", str(FIXTURES / "synthetic_metrics.csv"), "--version", "r03",
+             "--package", "tracking", "--category-metric", "effort"]
 
 
 class TestImportBudget:
@@ -61,8 +63,7 @@ class TestImportBudget:
         ["trend", *SERIES, "--plot", "PLOT"],
         ["trend", *SERIES, "--statistic", "median", "--format", "csv"],
         ["inequality", *SERIES],
-        ["diversity", "--data", str(FIXTURES / "synthetic_metrics.csv"), "--version", "r03",
-         "--package", "tracking", "--category-metric", "effort"],
+        DIVERSITY,
     ], ids=["import", "version", "trend-plot", "trend-median-csv", "inequality", "diversity"])
     def test_an_analysis_loads_neither_heavy_stdlib_modules_nor_the_lexer(self, argv,
                                                                           tmp_path):
@@ -73,6 +74,13 @@ class TestImportBudget:
         codes, loaded = fresh_run(argvs)
         assert codes == [0] * len(argvs)
         assert loaded == []
+
+    @pytest.mark.parametrize("argv", [["trend", *SERIES], ["inequality", *SERIES], DIVERSITY],
+                             ids=["trend", "inequality", "diversity"])
+    def test_a_cache_hit_that_writes_no_file_does_not_load_tempfile(self, argv):
+        # the miss writes the cache entry, so the hit runs in a process of its own
+        assert fresh_run([argv], watched=["tempfile"]) == [[0], ["tempfile"]]
+        assert fresh_run([argv], watched=["tempfile"]) == [[0], []]
 
     def test_extract_loads_the_lexer_and_no_heavy_stdlib_module(self, tmp_path):
         source = tmp_path / "a.c"
