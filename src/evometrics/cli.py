@@ -63,11 +63,10 @@ def _load_inputs(manifest_path: str, data_path: str) -> tuple[MetricsDataset, di
     return ds, {"manifest": manifest_stamp, "data": data_stamp}
 
 
-# names the framing _write_entry gives an entry; dataset.py's bytes, in the key, cover the rest
-_CACHE_FORMAT = "evometrics-dataset-2"
+# the tag of each kind of entry names its framing and packing; the bytes of the module
+# whose rules made the payload (dataset.py, halstead.py), in the key, cover the rest
+_CACHE_TAGS = {"dataset": "evometrics-dataset-2", "counts": "evometrics-counts-1"}
 _CACHE_ENTRIES = 8  # datasets kept; the oldest written beyond them are deleted
-# names the packing of a counts entry; halstead.py's bytes, in the key, cover the lexer's rules
-_COUNTS_FORMAT = "evometrics-counts-1"
 _COUNTS_TEXTS = 1 << 16  # texts a counts entry keeps: the last counting run's, then the newest
 
 
@@ -92,42 +91,57 @@ def _cache_folder() -> Path:
     return folder
 
 
-def _cache_name(*key) -> str:
-    """The file name, less its suffix, of the entry under ``key``: the sha256 of its JSON."""
-    return hashlib.sha256(json.dumps(list(key)).encode()).hexdigest()
+def _cache_entry(kind: str, module, *key) -> Path | None:
+    """The cache file of the ``kind`` entry under ``key``, whose payload ``module``'s rules made.
 
-
-def _read_entry(entry: Path) -> object:
-    """The payload of an entry ``_write_entry`` made.
-
-    Raises OSError, EOFError, ValueError or TypeError where the entry cannot be
-    read, does not match its sha256 or does not unmarshal.
+    Its name is the sha256 of the JSON of the kind's tag, the interpreter and byte
+    order, whose formats the entry is in, the sha256 of ``module``'s bytes, and
+    ``key``. None where ``_cache_folder`` raises or the module cannot be read: no
+    cache is used.
     """
-    blob = entry.read_bytes()
-    payload = memoryview(blob)[32:]
-    if hashlib.sha256(payload).digest() != blob[:32]:
-        raise ValueError(f"{entry} does not match its sha256")
-    return marshal.loads(payload)
+    try:
+        folder = _cache_folder()
+        rules = hashlib.sha256(Path(module.__file__).read_bytes()).hexdigest()
+    except OSError:
+        return None
+    name = json.dumps([_CACHE_TAGS[kind], sys.version, sys.byteorder, rules, *key])
+    return folder / f"{hashlib.sha256(name.encode()).hexdigest()}.{kind}"
 
 
-def _write_entry(entry: Path, payload: object) -> None:
-    """Replace ``entry`` with the sha256 of the marshalled payload, then that payload."""
+def _cached(entry: Path | None, unpack):
+    """``unpack`` of the payload ``_store`` wrote to ``entry``; None where there is no
+    entry, or it cannot be read, does not match its sha256, or does not unmarshal or
+    unpack (``unpack`` raises ValueError or TypeError on a payload of the wrong shape)."""
+    if entry is None:
+        return None
+    try:
+        blob = entry.read_bytes()
+        payload = memoryview(blob)[32:]
+        if hashlib.sha256(payload).digest() != blob[:32]:
+            return None
+        packed = marshal.loads(payload)
+        del blob, payload  # the bytes are freed before the unpack
+        return unpack(packed)
+    except (OSError, EOFError, ValueError, TypeError):
+        return None
+
+
+def _store(entry: Path, payload: object, keep: int) -> None:
+    """Replace ``entry`` with the sha256 of the marshalled payload, then that payload.
+
+    Then delete all but the ``keep - 1`` most recently written other entries of its
+    kind: the entry just written is kept, whatever the dates of the others. A failed
+    write or delete is ignored.
+    """
     data = marshal.dumps(payload, 4)
-    _replace_file(str(entry), hashlib.sha256(data).digest() + data)
-
-
-def _cache_entry(data_sha256: str, version_order: tuple[str, ...] | None) -> Path:
-    """The cache file of ``load_csv`` over the data with this sha256 against this manifest.
-
-    The key also covers the interpreter and byte order, whose formats the entry
-    is in, and the bytes of ``dataset.py``, whose rules the parse applied. Raises
-    OSError as ``_cache_folder`` does.
-    """
-    folder = _cache_folder()
-    parser = hashlib.sha256(Path(dataset.__file__).read_bytes()).hexdigest()
-    key = _cache_name(_CACHE_FORMAT, sys.version, sys.byteorder, parser, version_order,
-                      data_sha256)
-    return folder / f"{key}.dataset"
+    try:
+        _replace_file(str(entry), hashlib.sha256(data).digest() + data)
+        others = sorted((p for p in entry.parent.glob(f"*{entry.suffix}") if p != entry),
+                        key=lambda p: p.stat().st_mtime)
+        for old in others[:max(0, len(others) + 1 - keep)]:
+            old.unlink(missing_ok=True)
+    except OSError:
+        pass
 
 
 def _load_dataset(path: str, manifest_text: str | None = None) -> tuple[MetricsDataset, dict]:
@@ -153,27 +167,15 @@ def _load_dataset(path: str, manifest_text: str | None = None) -> tuple[MetricsD
         except InputError:
             _decode(path, data)  # data that does not decode is named first
             raise
-    try:
-        entry = _cache_entry(stamp["sha256"], version_order)
-    except OSError:
-        entry = None
-    else:
-        try:
-            return dataset._unpack_groups(_read_entry(entry)), stamp
-        except (OSError, EOFError, ValueError, TypeError):
-            pass
+    entry = _cache_entry("dataset", dataset, version_order, stamp["sha256"])
+    if (ds := _cached(entry, dataset._unpack_groups)) is not None:
+        return ds, stamp
     text = _decode(path, data)
     del data  # the bytes are freed before the parse
     ds = load_csv(text, version_order)
     del text  # the text is freed before the entry is made
     if entry is not None:
-        try:
-            _write_entry(entry, dataset._pack_groups(ds))
-            entries = sorted(entry.parent.glob("*.dataset"), key=lambda p: p.stat().st_mtime)
-            for old in entries[:-_CACHE_ENTRIES]:
-                old.unlink(missing_ok=True)
-        except OSError:
-            pass
+        _store(entry, dataset._pack_groups(ds), _CACHE_ENTRIES)
     return ds, stamp
 
 
@@ -333,21 +335,10 @@ class _CountsTable:
     def __init__(self):
         from . import halstead
 
-        self.index: dict[bytes, int] = {}
-        self.values = array("q")
         self.counted: dict[bytes, TokenCounts] = {}  # this run's texts, in the order first read
         self.missed = False  # whether this run lexed a text the entry lacked
-        try:
-            lexer = hashlib.sha256(Path(halstead.__file__).read_bytes()).hexdigest()
-            key = _cache_name(_COUNTS_FORMAT, sys.version, sys.byteorder, lexer)
-            self.entry: Path | None = _cache_folder() / f"{key}.counts"
-        except OSError:
-            self.entry = None
-            return
-        try:
-            self.index, self.values = _unpack_counts(_read_entry(self.entry))
-        except (OSError, EOFError, ValueError, TypeError):
-            pass
+        self.entry = _cache_entry("counts", halstead)
+        self.index, self.values = _cached(self.entry, _unpack_counts) or ({}, array("q"))
 
     def counts(self, text: str, entity: str) -> TokenCounts:
         """The counts of ``text``, lexed only where the table lacks them; raises as
@@ -382,13 +373,7 @@ class _CountsTable:
             if digest not in self.counted:
                 digests.append(digest)
                 values.extend(self.values[at:at + 4])
-        try:
-            _write_entry(self.entry, (b"".join(digests), values.tobytes()))
-            for other in self.entry.parent.glob("*.counts"):
-                if other != self.entry:
-                    other.unlink(missing_ok=True)
-        except OSError:
-            pass
+        _store(self.entry, (b"".join(digests), values.tobytes()), keep=1)
 
 
 def cmd_extract(args) -> int:

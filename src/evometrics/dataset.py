@@ -266,7 +266,7 @@ def load_manifest(text: str) -> tuple[str, ...]:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise InputError(f"malformed manifest: {exc}") from exc
     if not isinstance(doc, dict) or "versions" not in doc:
         raise InputError('malformed manifest: missing "versions" key')

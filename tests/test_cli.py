@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from array import array
 from collections import Counter
 from pathlib import Path
@@ -514,6 +515,19 @@ class TestIngestionErrors:
         )
         assert code == 2
         assert "manifest" in err
+
+    def test_a_manifest_nested_too_deeply_exits_2(self, tmp_path):
+        # json.loads raises RecursionError here, which would end the run with a traceback
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("[" * 100000)
+        data = tmp_path / "d.csv"
+        data.write_text(HEADER + "v1,p,e,m,1\n")
+        proc = run_python("import sys; from evometrics.cli import main; "
+                          "sys.exit(main(sys.argv[1:]))", "trend", "--manifest", str(manifest),
+                          "--data", str(data), "--package", "p", "--metric", "m")
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        [line] = proc.stderr.decode().splitlines()
+        assert line.startswith("error: malformed manifest: ")
 
 
 class TestDiversityCommand:
@@ -1520,6 +1534,50 @@ class TestDatasetCache:
             kept = (kept + [new])[-8:]
             assert entries(dataset_cache) == sorted(kept)
         assert all(other.read_text() == "not an entry\n" for other in others)
+
+    def test_a_miss_keeps_its_entry_among_entries_dated_ahead(self, tmp_path, capsys,
+                                                              dataset_cache, count_loads):
+        # a clock stepped back, or a restored backup: every entry looks newer than a new one
+        versions, rows = cache_rows()
+        argv = ["inequality", "--package", "p", "--metric", "m"]
+        for i in range(cli._CACHE_ENTRIES):
+            manifest, data = write_inputs(tmp_path, versions, rows + [f"v1,r,e{i},m,1"])
+            assert run_cli([*argv, "--manifest", manifest, "--data", data], capsys)[0] == 0
+        ahead = time.time() + 3600
+        for entry in entries(dataset_cache):
+            os.utime(entry, (ahead, ahead))
+        before = entries(dataset_cache)
+        manifest, data = write_inputs(tmp_path, versions, rows + ["v1,r,e,m,1"])
+        missed = run_cli([*argv, "--manifest", manifest, "--data", data], capsys)
+        assert missed[0] == 0 and count_loads[0] == cli._CACHE_ENTRIES + 1
+        [new] = set(entries(dataset_cache)) - set(before)
+        assert len(entries(dataset_cache)) == cli._CACHE_ENTRIES
+        written = new.stat().st_mtime_ns
+        assert run_cli([*argv, "--manifest", manifest, "--data", data], capsys) == missed
+        assert count_loads[0] == cli._CACHE_ENTRIES + 1  # a hit
+        assert new.stat().st_mtime_ns == written
+
+    def test_entries_are_named_by_their_documented_key(self, tmp_path, capsys, dataset_cache):
+        # the names existing caches hold: a change to the key orphans every entry in them
+        def name(tag, module, *key):
+            rules = hashlib.sha256(Path(module.__file__).read_bytes()).hexdigest()
+            text = json.dumps([tag, sys.version, sys.byteorder, rules, *key])
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        versions, rows = cache_rows()
+        manifest, data = write_inputs(tmp_path, versions, rows)
+        assert run_cli(["inequality", "--manifest", manifest, "--data", data,
+                        "--package", "p", "--metric", "m"], capsys)[0] == 0
+        data_sha256 = hashlib.sha256(Path(data).read_bytes()).hexdigest()
+        [entry] = entries(dataset_cache)
+        key = name("evometrics-dataset-2", dataset, versions, data_sha256)
+        assert entry.name == f"{key}.dataset"
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        (tree / "a.c").write_bytes(b"int a = b + c;\n")
+        assert run_cli(["extract", str(tree), "--version", "v1", "--package", "p"], capsys)[0] == 0
+        [entry] = counts_entries(dataset_cache)
+        assert entry.name == f"{name('evometrics-counts-1', halstead)}.counts"
 
     @pytest.mark.parametrize("xdg", [None, "", "relative/cache"])
     def test_without_an_absolute_xdg_cache_home_the_cache_is_under_home(

@@ -67,6 +67,10 @@ class TestManifest:
         with pytest.raises(InputError, match="malformed manifest"):
             load_manifest("{not json")
 
+    def test_nested_too_deeply(self):  # json.loads raises RecursionError, not JSONDecodeError
+        with pytest.raises(InputError, match="^malformed manifest: "):
+            load_manifest("[" * 100000)
+
     def test_missing_key(self):
         with pytest.raises(InputError, match="versions"):
             load_manifest('{"releases":["a"]}')
