@@ -236,9 +236,9 @@ class VersionSeries(NamedTuple):
 class PipelineResult(NamedTuple):
     """A series, its per-version inequality reports, and its trend verdict (a named tuple).
 
-    ``inequality_per_version`` is None for raw series, which carry no
-    per-entity distribution to aggregate. ``gaps`` lists the manifest
-    versions that had no matching records.
+    ``inequality_per_version`` holds the reports an index series reads its points
+    from; it is None for ``mean``, ``median`` and ``raw``, one number per version.
+    ``gaps`` lists the manifest versions that had no matching records.
     """
 
     series: VersionSeries
@@ -502,7 +502,7 @@ def version_slices(
     for version in dict.fromkeys(ds.version_order):
         values = list(by_version.get(version, _NO_RELEASE)[1])
         if drop_zeros:
-            values = [value for value in values if value > 0]
+            values = [value for value in values if value != 0]
         if values:
             slices.append((version, values))
         else:
@@ -529,7 +529,7 @@ def per_version(fn: Callable, slices: Sequence[tuple[str, list[float]]], *args) 
             raise AnalysisError(f"version {version!r}: {exc}") from exc
 
 
-def _raw(values: list[float], epsilon: float) -> float:
+def _raw(values: list[float]) -> float:
     if len(values) != 1:
         raise AnalysisError(
             f"raw statistic expects exactly one record per version, found {len(values)}"
@@ -537,21 +537,21 @@ def _raw(values: list[float], epsilon: float) -> float:
     return values[0]
 
 
-def _mean(values: list[float], epsilon: float) -> float:
+def _mean(values: list[float]) -> float:
     try:
         return math.fsum(values) / len(values)
     except OverflowError:
         raise AnalysisError("sum beyond the float range") from None
 
 
-def _median(values: list[float], epsilon: float) -> float:
+def _median(values: list[float]) -> float:
     if math.isfinite(median := trend._median(values)):  # may overflow: (a + b) / 2
         return median
     raise AnalysisError("median beyond the float range")
 
 
-# statistic -> f(values, epsilon), for the statistics that are not inequality indices
-_STATISTICS: dict[str, Callable[[list[float], float], float]] = {
+# statistic -> f(values), for the statistics that are not inequality indices
+_STATISTICS: dict[str, Callable[[list[float]], float]] = {
     "mean": _mean,
     "median": _median,
     "raw": _raw,
@@ -563,12 +563,13 @@ STATISTICS = (*_INDICES, *_STATISTICS)
 def _series(
     slices: list[tuple[str, list[float]]], package: str, metric: str, statistic: str, epsilon: float
 ) -> tuple[VersionSeries, tuple[InequalityReport, ...] | None]:
-    """The series, and for an index the reports its points are read from (else None)."""
+    """The series, and for an index the reports its points are read from (else None): the
+    one place that makes reports, one ``inequality_report`` per release of an index."""
     if statistic in _INDICES:
         reports = tuple(per_version(inequality.inequality_report, slices, epsilon))
         measured = map(attrgetter(statistic), reports)
     elif statistic in _STATISTICS:
-        reports, measured = None, per_version(_STATISTICS[statistic], slices, epsilon)
+        reports, measured = None, per_version(_STATISTICS[statistic], slices)
     else:
         raise ValueError(f"unknown statistic {statistic!r}")
     points = tuple(zip(map(itemgetter(0), slices), measured))
@@ -609,11 +610,10 @@ def run_pipeline(
     """Series construction plus trend detection for one (package, metric).
 
     Refuses series shorter than 4 points after gap removal; a monotonic
-    trend on fewer points is not worth testing. The series and the
-    per-version inequality reports come from the same slices: an index
-    point is read from its release's report. Refusals come release by
-    release (an index's on all four indices), then a short series, then a
-    bad alpha, then for ``mean`` and ``median`` the inequality reports.
+    trend on fewer points is not worth testing. Only an index series
+    carries per-version inequality reports, and its points are read from
+    them (see ``_series``). Refusals come release by release (an index's on
+    all four indices), then a short series, then a bad alpha.
     """
     slices, gaps = version_slices(ds, package, metric, drop_zeros)
     series, reports = _series(slices, package, metric, statistic, epsilon)
@@ -622,6 +622,4 @@ def run_pipeline(
             f"series too short for trend: {len(series.points)} points (need at least 4)"
         )
     verdict = mk_test(series.values(), alpha=alpha)
-    if reports is None and statistic != "raw":  # mean and median: after the trend
-        reports = tuple(per_version(inequality.inequality_report, slices, epsilon))
     return PipelineResult(series=series, inequality_per_version=reports, trend=verdict, gaps=gaps)

@@ -213,6 +213,20 @@ class TestInequalityCommand:
         assert row["gini"] == gini([1, 2, 3])
         assert row["n"] == 3
 
+    def test_drop_zeros_keeps_negative_values(self, tmp_path, capsys):
+        # -0.0 is a zero and is dropped; -1 is kept, so an index refuses the release
+        versions = ["v1", "v2", "v3", "v4"]
+        rows = [f"{v},p,e{j},m,{x}" for v in versions
+                for j, x in enumerate(["-1", "0", "-0.0", "2", "5"])]
+        manifest, data = write_inputs(tmp_path, versions, rows)
+        base = ["--manifest", manifest, "--data", data, "--package", "p", "--metric", "m",
+                "--drop-zeros"]
+        assert run_cli(["inequality", *base], capsys) == (
+            1, "", "error: version 'v1': negative value\n")
+        code, out, err = run_cli(["trend", *base, "--statistic", "mean"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"][0]["points"] == [[v, 2.0] for v in versions]
+
 
 class TestTrendCommand:
     def test_upward_decision_on_monotone_series(self, monotone_inputs, capsys):
@@ -278,6 +292,28 @@ class TestTrendCommand:
             capsys,
         )
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("statistic, expected", [
+        ("mean", [2.0, 3.0, 4.0, 6.0]),
+        ("median", [3.0, 2.0, 4.0, 5.0]),
+    ])
+    def test_a_mean_or_median_takes_a_negative_value(self, tmp_path, capsys, statistic,
+                                                     expected):
+        # only an index scores inequality, and an index refuses a negative value
+        versions = ["v1", "v2", "v3", "v4"]
+        slices = [[-1, 3, 4], [1, 2, 6], [2, 4, 6], [3, 5, 10]]
+        rows = [f"{v},p,e{j},m,{x}" for v, values in zip(versions, slices)
+                for j, x in enumerate(values)]
+        manifest, data = write_inputs(tmp_path, versions, rows)
+        code, out, err = run_cli(
+            ["trend", "--manifest", manifest, "--data", data, "--package", "p",
+             "--metric", "m", "--statistic", statistic],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        entry = json.loads(out)["results"][0]
+        assert entry["inequality"] is None
+        assert entry["points"] == [list(point) for point in zip(versions, expected)]
 
     def test_plot_beyond_the_float_range_exits_1_and_writes_no_file(self, tmp_path, capsys):
         versions = ["v1", "v2", "v3", "v4"]
